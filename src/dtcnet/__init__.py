@@ -14,6 +14,7 @@ from .diagnostics import (
     GapRatioSample,
     PowerSpectrum,
     WalkRecord,
+    dft_power,
     gap_ratios,
     magnetization_series,
     mean_gap_ratio,
@@ -27,7 +28,7 @@ from .diagnostics import (
     walk_horizon_periods,
     walk_populations,
 )
-from .ensemble import MAX_SITES, TASKS, EnsembleSpec, RunManifest, run_ensemble
+from .ensemble import MAX_SITES, TASKS, EnsembleSpec, RunManifest, realization_outputs, run_ensemble
 from .floquet_core import (
     EffectiveHamiltonian,
     FloquetOperator,
@@ -76,6 +77,7 @@ from .spin_hilbert import (
     DisorderRealization,
     SpinChainParams,
     build_drive,
+    diagonal_energies,
     domain_wall_counts,
     domain_wall_operator,
     domain_walls,

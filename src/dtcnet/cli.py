@@ -20,23 +20,19 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .diagnostics import (
-    gap_ratios,
-    magnetization_series,
-    power_spectrum,
-    pr_distribution,
-    reference_pdf,
-    walk_horizon_periods,
-    walk_populations,
-)
+from .diagnostics import magnetization_series, power_spectrum, walk_horizon_periods
 from .ensemble import (
     EnsembleSpec,
-    _classical_rows,
-    _eps_tag,
-    _format_float,
-    _realization_payload,
-    _write_csv,
+    eps_tag,
+    format_float,
+    realization_outputs,
     run_ensemble,
+    write_classical_table,
+    write_csv,
+    write_degree_fit,
+    write_fidelity_table,
+    write_gap_ratio_table,
+    write_walk_tables,
 )
 from .floquet_core import (
     bch_effective_2T,
@@ -45,22 +41,11 @@ from .floquet_core import (
     floquet_spectrum,
     squared_floquet,
 )
-from .netfit import kmin_scan, lognormal_lr_test, poisson_fit
+from .netfit import poisson_fit
 from .percolation_graph import clusters, export_graph, export_nodes_csv, percolation_graph
 from .spin_hilbert import Configuration, SpinChainParams, sample_disorder
 
 __all__ = ["CliInvocation", "main"]
-
-SUBCOMMANDS = (
-    "simulate",
-    "graph",
-    "degree-fit",
-    "level-stats",
-    "spectrum",
-    "walk",
-    "classical",
-    "ensemble",
-)
 
 
 class CliError(Exception):
@@ -123,8 +108,8 @@ def _build_parser() -> _Parser:
         "classical": "fixed-point stability sweep over corner configurations",
         "ensemble": "run a JSON-configured disorder ensemble",
     }
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=descriptions[name], description=descriptions[name])
+    for name, description in descriptions.items():
+        p = sub.add_parser(name, help=description, description=description)
         _add_common_flags(p)
         if name == "degree-fit":
             p.add_argument("degree_csv", type=str, help="CSV with a degree column")
@@ -197,16 +182,16 @@ def _out_dir(args, config: dict) -> Path:
     return out
 
 
-def _seeded_disorder(params: SpinChainParams, args, config: dict, realization: int = 0):
-    seed = int(_resolve(args, config, "seed", 0))
-    return seed, sample_disorder(params, seed, realization)
+def _seeded_disorder(params: SpinChainParams, args, config: dict):
+    """Realization 0 of the --seed disorder stream."""
+    return sample_disorder(params, int(_resolve(args, config, "seed", 0)), 0)
 
 
 def _cmd_simulate(args, config: dict) -> int:
     params = _params_from(args, config)
     eps = _single_epsilon(_resolve(args, config, "epsilon", None))
     params = replace(params, epsilon=eps)
-    _, disorder = _seeded_disorder(params, args, config)
+    disorder = _seeded_disorder(params, args, config)
     out = _out_dir(args, config)
 
     U = drive_unitary(params, disorder)
@@ -219,10 +204,10 @@ def _cmd_simulate(args, config: dict) -> int:
     np.save(out / "heff_T.npy", heff_T.matrix)
     np.save(out / "heff_2T.npy", heff_2T.matrix)
     np.save(out / "heff_2T_bch.npy", bch.matrix)
-    _write_csv(
+    write_csv(
         out / "quasienergies.csv",
         "level,quasienergy",
-        ((s, _format_float(lam)) for s, lam in enumerate(spectrum.quasienergies)),
+        ((s, format_float(lam)) for s, lam in enumerate(spectrum.quasienergies)),
     )
     for warning in spectrum.branch_warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -234,14 +219,14 @@ def _cmd_graph(args, config: dict) -> int:
     params = _params_from(args, config)
     eps = _single_epsilon(_resolve(args, config, "epsilon", None))
     params = replace(params, epsilon=eps)
-    _, disorder = _seeded_disorder(params, args, config)
+    disorder = _seeded_disorder(params, args, config)
     out = _out_dir(args, config)
     fmt = _resolve(args, config, "format", "csv")
 
     graph = percolation_graph(
         effective_hamiltonian(floquet_spectrum(drive_unitary(params, disorder)))
     )
-    tag = _eps_tag(eps)
+    tag = eps_tag(eps)
     (out / f"nodes-eps{tag}.csv").write_bytes(export_nodes_csv(graph))
     written = [f"nodes-eps{tag}.csv"]
     if fmt == "csv":
@@ -252,7 +237,7 @@ def _cmd_graph(args, config: dict) -> int:
         (out / f"graph-eps{tag}.{suffix}").write_bytes(export_graph(graph, fmt))
         written.append(f"graph-eps{tag}.{suffix}")
     decomposition = clusters(graph)
-    _write_csv(
+    write_csv(
         out / f"clusters-eps{tag}.csv",
         "cluster,size",
         ((c, s) for c, s in enumerate(decomposition.sizes)),
@@ -290,27 +275,11 @@ def _cmd_degree_fit(args, config: dict) -> int:
     n = _resolve(args, config, "n", 0)
 
     try:
-        fit = kmin_scan(degrees)
-        verdict = lognormal_lr_test(degrees, fit)
+        fit, verdict = write_degree_fit(out / "degree-fit.csv", eps, int(n), degrees)
     except ValueError as exc:
         raise CliError(f"degree fit failed: {exc}")
     lam = poisson_fit(degrees)
-    _write_csv(
-        out / "degree-fit.csv",
-        "epsilon,n,beta,k_min,ks,n_tail,favored",
-        [
-            (
-                _format_float(eps),
-                int(n),
-                _format_float(fit.beta),
-                fit.k_min,
-                _format_float(fit.ks),
-                fit.n_tail,
-                verdict.favored,
-            )
-        ],
-    )
-    _write_csv(out / "poisson-fit.csv", "lambda", [(_format_float(lam),)])
+    write_csv(out / "poisson-fit.csv", "lambda", [(format_float(lam),)])
     print(
         f"beta={fit.beta:.4f} k_min={fit.k_min} ks={fit.ks:.4f} n_tail={fit.n_tail} "
         f"favored={verdict.favored} poisson_lambda={lam:.4f}"
@@ -318,42 +287,30 @@ def _cmd_degree_fit(args, config: dict) -> int:
     return 0
 
 
+def _payloads(args, config: dict, params, epsilons, task: str, realizations: int, periods=64):
+    """realization_outputs of one task for realizations 0..realizations-1 of --seed."""
+    spec = EnsembleSpec(
+        params=params,
+        epsilons=tuple(epsilons),
+        realizations=realizations,
+        seed=int(_resolve(args, config, "seed", 0)),
+        tasks=frozenset({task}),
+        periods=periods,
+    )
+    return [realization_outputs(spec, r) for r in range(realizations)]
+
+
 def _cmd_level_stats(args, config: dict) -> int:
     params = _params_from(args, config)
     epsilons = _parse_epsilons(_resolve(args, config, "epsilon", None))
-    seed = int(_resolve(args, config, "seed", 0))
-    realizations = int(_resolve(args, config, "realizations", 1))
-    if realizations < 1:
-        raise CliError("--realizations must be >= 1")
     out = _out_dir(args, config)
 
+    realizations = int(_resolve(args, config, "realizations", 1))
+    payloads = _payloads(args, config, params, epsilons, "levelstats", realizations)
     for eps in epsilons:
-        swept = replace(params, epsilon=eps)
-        pooled = []
-        for r in range(realizations):
-            disorder = sample_disorder(swept, seed, r)
-            spectrum = floquet_spectrum(drive_unitary(swept, disorder))
-            pooled.append(gap_ratios(spectrum.quasienergies).ratios)
-        ratios = np.concatenate(pooled)
-        edges = np.linspace(0.0, 1.0, 21)
-        counts, _ = np.histogram(ratios, bins=edges)
-        density = counts / (max(ratios.size, 1) * (edges[1] - edges[0]))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        tag = _eps_tag(eps)
-        _write_csv(
-            out / f"gap-ratios-eps{tag}.csv",
-            "r_lo,r_hi,density,reference_poisson,reference_coe",
-            (
-                (
-                    _format_float(lo),
-                    _format_float(hi),
-                    _format_float(d),
-                    _format_float(reference_pdf("poisson", m)),
-                    _format_float(reference_pdf("coe", m)),
-                )
-                for lo, hi, d, m in zip(edges[:-1], edges[1:], density, mids)
-            ),
-        )
+        tag = eps_tag(eps)
+        ratios = np.concatenate([p["levelstats"][tag][0] for p in payloads])
+        write_gap_ratio_table(out / f"gap-ratios-eps{tag}.csv", ratios)
         print(f"eps={eps:g}: mean gap ratio {ratios.mean():.4f} over {ratios.size} ratios")
     return 0
 
@@ -362,55 +319,34 @@ def _cmd_spectrum(args, config: dict) -> int:
     params = _params_from(args, config)
     epsilons = _parse_epsilons(_resolve(args, config, "epsilon", None))
     periods = int(_resolve(args, config, "periods", 64))
-    seed = int(_resolve(args, config, "seed", 0))
-    realizations = int(_resolve(args, config, "realizations", 1))
     out = _out_dir(args, config)
 
     # per-epsilon series and spectrum for the all-up initial configuration
     initial = Configuration(index=2**params.n - 1, n=params.n)
-    disorder0 = sample_disorder(params, seed, 0)
+    disorder0 = _seeded_disorder(params, args, config)
     for eps in epsilons:
         swept = replace(params, epsilon=eps)
         U = drive_unitary(swept, disorder0)
         series = magnetization_series(U, initial, periods)
         spec = power_spectrum(series, period=swept.period)
-        tag = _eps_tag(eps)
-        _write_csv(
+        tag = eps_tag(eps)
+        write_csv(
             out / f"magnetization-eps{tag}.csv",
             "period,magnetization",
-            ((m, _format_float(v)) for m, v in enumerate(series)),
+            ((m, format_float(v)) for m, v in enumerate(series)),
         )
-        _write_csv(
+        write_csv(
             out / f"power-spectrum-eps{tag}.csv",
             "k,omega,V",
             (
-                (k, _format_float(spec.omega(k)), _format_float(v))
+                (k, format_float(spec.omega(k)), format_float(v))
                 for k, v in enumerate(spec.V)
             ),
         )
 
-    spec_obj = EnsembleSpec(
-        params=params,
-        epsilons=epsilons,
-        realizations=realizations,
-        seed=seed,
-        tasks=frozenset({"spectrum"}),
-        periods=periods,
-    )
-    payloads = [_realization_payload(spec_obj, r) for r in range(realizations)]
-    rows = []
-    for eps in epsilons:
-        stack = np.vstack([p["spectrum"][_eps_tag(eps)] for p in payloads])
-        # nanmean without the all-NaN RuntimeWarning (reference column is NaN)
-        finite = np.isfinite(stack)
-        counts = finite.sum(axis=0)
-        sums = np.where(finite, stack, 0.0).sum(axis=0)
-        mean_fid = np.divide(
-            sums, counts, out=np.full(stack.shape[1], np.nan), where=counts > 0
-        )
-        for i, f in enumerate(mean_fid):
-            rows.append((i, _format_float(eps), "nan" if np.isnan(f) else _format_float(f)))
-    _write_csv(out / "fidelity.csv", "config,epsilon,fidelity", rows)
+    realizations = int(_resolve(args, config, "realizations", 1))
+    payloads = _payloads(args, config, params, epsilons, "spectrum", realizations, periods)
+    write_fidelity_table(out / "fidelity.csv", payloads, epsilons)
     print(f"wrote magnetization, power-spectrum, and fidelity CSVs in {out}")
     return 0
 
@@ -421,29 +357,12 @@ def _cmd_walk(args, config: dict) -> int:
     if eps <= 0:
         raise CliError("walk requires epsilon > 0 (tunneling horizon diverges at 0)")
     params = replace(params, epsilon=eps)
-    _, disorder = _seeded_disorder(params, args, config)
     out = _out_dir(args, config)
 
+    tag = eps_tag(eps)
+    (payload,) = _payloads(args, config, params, (eps,), "walk", 1)
+    write_walk_tables(out, f"eps{tag}", *payload["walk"][tag])
     horizon = walk_horizon_periods(params)
-    U = drive_unitary(params, disorder)
-    initial = Configuration(index=2**params.n - 1, n=params.n)
-    record = walk_populations(U, initial, horizon)
-    tag = _eps_tag(eps)
-    _write_csv(
-        out / f"walk-eps{tag}.csv",
-        "period,config,population",
-        (
-            (m, i, _format_float(record.populations[m, i]))
-            for m in range(record.populations.shape[0])
-            for i in range(record.populations.shape[1])
-        ),
-    )
-    prs = pr_distribution(params, disorder)
-    _write_csv(
-        out / f"pr-eps{tag}.csv",
-        "config,pr",
-        ((i, _format_float(v)) for i, v in enumerate(prs)),
-    )
     print(f"wrote walk-eps{tag}.csv and pr-eps{tag}.csv in {out} (horizon {horizon} periods)")
     return 0
 
@@ -451,11 +370,7 @@ def _cmd_walk(args, config: dict) -> int:
 def _cmd_classical(args, config: dict) -> int:
     params = _params_from(args, config)
     out = _out_dir(args, config)
-    _write_csv(
-        out / "classical.csv",
-        "configuration,energy,min_eigenvalue,max_eigenvalue,classification",
-        _classical_rows(params),
-    )
+    write_classical_table(out / "classical.csv", params)
     print(f"wrote classical.csv in {out} ({2**params.n} configurations)")
     return 0
 

@@ -28,6 +28,7 @@ __all__ = [
     "mean_gap_ratio",
     "magnetization_series",
     "power_spectrum",
+    "dft_power",
     "spectral_fidelity",
     "walk_populations",
     "participation_ratio",
@@ -162,12 +163,6 @@ def mean_gap_ratio(sample: GapRatioSample) -> float:
     return float(sample.ratios.mean())
 
 
-def _basis_state(initial: Configuration, dim: int) -> np.ndarray:
-    psi = np.zeros(dim, dtype=complex)
-    psi[initial.index] = 1.0
-    return psi
-
-
 def magnetization_series(U: FloquetOperator, initial: Configuration, N: int) -> np.ndarray:
     """Total z magnetization per site at m = 0..N periods.
 
@@ -181,7 +176,7 @@ def magnetization_series(U: FloquetOperator, initial: Configuration, N: int) -> 
     n = U.dim.bit_length() - 1
     if initial.n != n or 2**n != U.dim:
         raise ValueError("initial configuration does not match the propagator dimension")
-    states = stroboscopic_evolve(U, _basis_state(initial, U.dim), N)
+    states = stroboscopic_evolve(U, initial, N)
 
     sz_total = sum(pauli_string([(l, "z")], n).matrix for l in range(1, n + 1))
     direct = np.real(np.einsum("mi,ij,mj->m", states.conj(), sz_total, states)) / n
@@ -210,11 +205,20 @@ def power_spectrum(series, period: float = 2.0) -> PowerSpectrum:
     N = values.size - 1
     if N < 2:
         raise ValueError(f"need at least 3 samples (N >= 2), got {values.size}")
+    return PowerSpectrum(V=dft_power(values), N=N, period=period)
+
+
+def dft_power(series: np.ndarray) -> np.ndarray:
+    """|M(k)|^2 of power_spectrum along axis 0: one series, or one per column.
+
+    A direct phase-matrix product, not an FFT: the two round differently
+    in the near-zero bins, and the written spectra keep this arithmetic.
+    """
+    N = series.shape[0] - 1
     m = np.arange(1, N + 1)
     k = np.arange(N)
     phases = np.exp(-2j * pi * np.outer(k, m) / N)
-    amplitudes = phases @ values[1:] / N
-    return PowerSpectrum(V=np.abs(amplitudes) ** 2, N=N, period=period)
+    return np.abs(phases @ series[1:] / N) ** 2
 
 
 def spectral_fidelity(V_ref: PowerSpectrum, V_eps: PowerSpectrum) -> float:
@@ -235,7 +239,7 @@ def walk_populations(U: FloquetOperator, initial: Configuration, N: int) -> Walk
     n = U.dim.bit_length() - 1
     if initial.n != n or 2**n != U.dim:
         raise ValueError("initial configuration does not match the propagator dimension")
-    populations = np.abs(stroboscopic_evolve(U, _basis_state(initial, U.dim), N)) ** 2
+    populations = np.abs(stroboscopic_evolve(U, initial, N)) ** 2
     row_defect = np.abs(populations.sum(axis=1) - 1.0).max()
     if row_defect > 1e-10:
         raise RuntimeError(f"walk populations not normalized: defect {row_defect:.3e}")

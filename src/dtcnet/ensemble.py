@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from itertools import count
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    dft_power,
     gap_ratios,
     pr_distribution,
     reference_pdf,
@@ -39,7 +41,14 @@ from .percolation_graph import percolation_graph
 from .semiclassical import ClassicalConfiguration, classical_energy, classify_fixed_point, jacobian
 from .spin_hilbert import Configuration, SpinChainParams, sample_disorder, spin_z_table
 
-__all__ = ["EnsembleSpec", "RunManifest", "run_ensemble", "TASKS", "MAX_SITES"]
+__all__ = [
+    "EnsembleSpec",
+    "RunManifest",
+    "realization_outputs",
+    "run_ensemble",
+    "TASKS",
+    "MAX_SITES",
+]
 
 TASKS = ("graph", "levelstats", "spectrum", "walk", "classical")
 MAX_SITES = 14
@@ -133,26 +142,30 @@ class RunManifest:
         }
 
 
-def _worker_count() -> int:
+def _worker_count(notes: list[str]) -> int:
     raw = os.environ.get("DTCNET_THREADS", "1")
     try:
         return max(1, int(raw))
     except ValueError:
+        notes.append(f"DTCNET_THREADS={raw!r} is not an integer; realizations ran serially")
         return 1
 
 
-def _format_float(x: float) -> str:
+def format_float(x: float) -> str:
+    """The CSV rendering of every float output."""
     return f"{x:.12g}"
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def write_csv(path: Path, header: str, rows) -> None:
+    """Write the header line, then each row's cells joined by commas."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(str(c) for c in row) + "\n")
 
 
-def _eps_tag(eps: float) -> str:
+def eps_tag(eps: float) -> str:
+    """Epsilon as used in file names and payload keys: 0.012 -> '0p012'."""
     return f"{eps:g}".replace(".", "p").replace("-", "m")
 
 
@@ -173,17 +186,22 @@ def _batch_magnetization(U: np.ndarray, sign_sum: np.ndarray, periods: int) -> n
     return out
 
 
-def _spectra_matrix(series_matrix: np.ndarray) -> np.ndarray:
-    """Power spectra of many series at once (columns); V has shape (N, dim)."""
-    N = series_matrix.shape[0] - 1
-    m = np.arange(1, N + 1)
-    k = np.arange(N)
-    phases = np.exp(-2j * pi * np.outer(k, m) / N)
-    return np.abs(phases @ series_matrix[1:] / N) ** 2
+def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
+    """Everything disorder realization r contributes to a run.
 
+    The result holds "warnings" (branch-cut and skipped-task records) and,
+    for each task in spec.tasks, a dict keyed by eps_tag(epsilon):
 
-def _realization_payload(spec: EnsembleSpec, r: int) -> dict:
-    """Everything one disorder realization contributes, keyed by task."""
+    - "graph": (percolation graph at T, percolation graph at 2T);
+    - "levelstats": (gap ratios, count of excluded degenerate gaps);
+    - "spectrum": per-configuration fidelity of the magnetization power
+      spectrum against epsilon = 0, NaN where either spectrum vanishes;
+    - "walk" (epsilon > 0 only): (participation ratio per configuration,
+      walk populations from the all-up configuration).
+
+    run_ensemble and the level-stats, spectrum and walk subcommands all
+    reduce these payloads.
+    """
     disorder = sample_disorder(spec.params, spec.seed, r)
     payload: dict = {"warnings": []}
     n = spec.params.n
@@ -193,12 +211,12 @@ def _realization_payload(spec: EnsembleSpec, r: int) -> dict:
     if need_ref_spectra:
         params0 = replace(spec.params, epsilon=0.0)
         U0 = drive_unitary(params0, disorder)
-        ref_V = _spectra_matrix(_batch_magnetization(U0.matrix, sign_sum, spec.periods))
+        ref_V = dft_power(_batch_magnetization(U0.matrix, sign_sum, spec.periods))
         ref_norm = np.linalg.norm(ref_V, axis=0)
 
     for eps in spec.epsilons:
         params = replace(spec.params, epsilon=eps)
-        key = _eps_tag(eps)
+        key = eps_tag(eps)
         U = drive_unitary(params, disorder)
 
         if "graph" in spec.tasks or "levelstats" in spec.tasks:
@@ -222,7 +240,7 @@ def _realization_payload(spec: EnsembleSpec, r: int) -> dict:
             )
 
         if need_ref_spectra:
-            V = _spectra_matrix(_batch_magnetization(U.matrix, sign_sum, spec.periods))
+            V = dft_power(_batch_magnetization(U.matrix, sign_sum, spec.periods))
             norm = np.linalg.norm(V, axis=0)
             with np.errstate(invalid="ignore", divide="ignore"):
                 fidelity = np.sqrt(np.einsum("ki,ki->i", ref_V, V) / (ref_norm * norm))
@@ -258,20 +276,18 @@ def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
     if spec.params.n > MAX_SITES:
         raise ValueError(f"n = {spec.params.n} exceeds the dense-matrix limit {MAX_SITES}")
     t_start = time.perf_counter()
-    stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
-    run_dir = Path(out_dir) / f"run-{stamp}-seed{spec.seed}"
-    run_dir.mkdir(parents=True, exist_ok=False)
+    run_dir = _fresh_run_dir(Path(out_dir), spec.seed)
 
-    workers = _worker_count()
+    notes: list[str] = []
+    workers = _worker_count(notes)
     indices = range(spec.realizations)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            payloads = list(pool.map(lambda r: _realization_payload(spec, r), indices))
+            payloads = list(pool.map(lambda r: realization_outputs(spec, r), indices))
     else:
-        payloads = [_realization_payload(spec, r) for r in indices]
+        payloads = [realization_outputs(spec, r) for r in indices]
 
     artifacts: dict[str, list[str]] = {}
-    notes: list[str] = []
     warnings = [w for p in payloads for w in p["warnings"]]
     timings = {"map_s": round(time.perf_counter() - t_start, 3)}
 
@@ -279,7 +295,7 @@ def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
         artifacts.setdefault(task, []).append(str(path))
 
     for eps in spec.epsilons:
-        key = _eps_tag(eps)
+        key = eps_tag(eps)
 
         if "graph" in spec.tasks:
             for tag, pick in (("T", 0), ("2T", 1)):
@@ -288,11 +304,11 @@ def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
                 _write_fit_outputs(run_dir, f"{tag}-eps{key}", eps, spec.params.n, degrees, record, notes)
                 table = avg_degree_by_domain_walls(graphs)
                 path = run_dir / f"walls-{tag}-eps{key}.csv"
-                _write_csv(
+                write_csv(
                     path,
                     "epsilon,walls,mean_degree,std_degree,realizations",
                     (
-                        (_format_float(eps), w, _format_float(m), _format_float(s), len(graphs))
+                        (format_float(eps), w, format_float(m), format_float(s), len(graphs))
                         for w, (m, s) in table.items()
                     ),
                 )
@@ -303,71 +319,23 @@ def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
             excluded = sum(p["levelstats"][key][1] for p in payloads)
             if excluded:
                 notes.append(f"levelstats eps={eps:g}: {excluded} degenerate gaps excluded")
-            edges = np.linspace(0.0, 1.0, GAP_HISTOGRAM_BINS + 1)
-            counts, _ = np.histogram(ratios, bins=edges)
-            width = edges[1] - edges[0]
-            density = counts / (max(ratios.size, 1) * width)
-            mids = 0.5 * (edges[:-1] + edges[1:])
             path = run_dir / f"gap-ratios-eps{key}.csv"
-            _write_csv(
-                path,
-                "r_lo,r_hi,density,reference_poisson,reference_coe",
-                (
-                    (
-                        _format_float(lo),
-                        _format_float(hi),
-                        _format_float(d),
-                        _format_float(reference_pdf("poisson", m)),
-                        _format_float(reference_pdf("coe", m)),
-                    )
-                    for lo, hi, d, m in zip(edges[:-1], edges[1:], density, mids)
-                ),
-            )
+            write_gap_ratio_table(path, ratios)
             record("levelstats", path)
 
         if "spectrum" in spec.tasks:
-            stack = np.vstack([p["spectrum"][key] for p in payloads])
-            all_nan = np.all(np.isnan(stack), axis=0)
-            with np.errstate(invalid="ignore"):
-                mean_fid = np.where(all_nan, np.nan, np.nanmean(stack, axis=0))
             path = run_dir / f"fidelity-eps{key}.csv"
-            _write_csv(
-                path,
-                "config,epsilon,fidelity",
-                (
-                    (i, _format_float(eps), "nan" if np.isnan(f) else _format_float(f))
-                    for i, f in enumerate(mean_fid)
-                ),
-            )
+            write_fidelity_table(path, payloads, [eps])
             record("spectrum", path)
 
         if "walk" in spec.tasks and eps > 0.0:
             for r, p in enumerate(payloads):
-                prs, populations = p["walk"][key]
-                path = run_dir / f"pr-eps{key}-r{r}.csv"
-                _write_csv(
-                    path, "config,pr", ((i, _format_float(v)) for i, v in enumerate(prs))
-                )
-                record("walk", path)
-                path = run_dir / f"walk-eps{key}-r{r}.csv"
-                _write_csv(
-                    path,
-                    "period,config,population",
-                    (
-                        (m, i, _format_float(populations[m, i]))
-                        for m in range(populations.shape[0])
-                        for i in range(populations.shape[1])
-                    ),
-                )
-                record("walk", path)
+                for path in write_walk_tables(run_dir, f"eps{key}-r{r}", *p["walk"][key]):
+                    record("walk", path)
 
     if "classical" in spec.tasks:
         path = run_dir / "classical.csv"
-        _write_csv(
-            path,
-            "configuration,energy,min_eigenvalue,max_eigenvalue,classification",
-            _classical_rows(spec.params),
-        )
+        write_classical_table(path, spec.params)
         record("classical", path)
 
     timings["total_s"] = round(time.perf_counter() - t_start, 3)
@@ -388,59 +356,142 @@ def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
     return manifest
 
 
+def _fresh_run_dir(out_dir: Path, seed: int) -> Path:
+    """Create run-<UTC stamp>-seed<seed>, or its first free -1, -2, ... variant.
+
+    Each candidate is claimed by an atomic mkdir, so runs started in the
+    same second never share a directory.
+    """
+    stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
+    base = f"run-{stamp}-seed{seed}"
+    for k in count():
+        run_dir = out_dir / (f"{base}-{k}" if k else base)
+        try:
+            run_dir.mkdir(parents=True, exist_ok=False)
+            return run_dir
+        except FileExistsError:
+            continue
+
+
 def _write_fit_outputs(run_dir: Path, tag: str, eps: float, n: int, degrees, record, notes) -> None:
     """Degree histogram plus power-law fit row for one pooled sample."""
     try:
         hist = log_binned_histogram(degrees)
     except ValueError as exc:
         notes.append(f"degree-histogram skipped ({tag}): {exc}")
-        hist = None
-    if hist is not None:
+    else:
         path = run_dir / f"degree-hist-{tag}.csv"
-        _write_csv(
+        write_csv(
             path,
             "bin_lo,bin_hi,density",
             (
-                (_format_float(lo), _format_float(hi), _format_float(d))
+                (format_float(lo), format_float(hi), format_float(d))
                 for lo, hi, d in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.densities)
             ),
         )
         record("graph", path)
+    path = run_dir / f"degree-fit-{tag}.csv"
     try:
-        fit = kmin_scan(degrees)
-        verdict = lognormal_lr_test(degrees, fit)
-        path = run_dir / f"degree-fit-{tag}.csv"
-        _write_csv(
-            path,
-            "epsilon,n,beta,k_min,ks,n_tail,favored",
-            [
-                (
-                    _format_float(eps),
-                    n,
-                    _format_float(fit.beta),
-                    fit.k_min,
-                    _format_float(fit.ks),
-                    fit.n_tail,
-                    verdict.favored,
-                )
-            ],
-        )
+        write_degree_fit(path, eps, n, degrees)
         record("graph", path)
     except ValueError as exc:
         notes.append(f"degree-fit skipped ({tag}): {exc}")
 
 
-def _classical_rows(params: SpinChainParams):
+def write_degree_fit(path: Path, eps: float, n: int, degrees):
+    """Fit a power-law tail, test it against a lognormal, write the one-row table.
+
+    Returns (fit, verdict); raises ValueError, writing nothing, when the
+    sample cannot be fitted.
+    """
+    fit = kmin_scan(degrees)
+    verdict = lognormal_lr_test(degrees, fit)
+    row = (
+        format_float(eps),
+        n,
+        format_float(fit.beta),
+        fit.k_min,
+        format_float(fit.ks),
+        fit.n_tail,
+        verdict.favored,
+    )
+    write_csv(path, "epsilon,n,beta,k_min,ks,n_tail,favored", [row])
+    return fit, verdict
+
+
+def write_gap_ratio_table(path: Path, ratios: np.ndarray) -> None:
+    """Gap-ratio density on GAP_HISTOGRAM_BINS bins with Poisson and COE overlays."""
+    edges = np.linspace(0.0, 1.0, GAP_HISTOGRAM_BINS + 1)
+    counts, _ = np.histogram(ratios, bins=edges)
+    density = counts / (max(ratios.size, 1) * (edges[1] - edges[0]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    write_csv(
+        path,
+        "r_lo,r_hi,density,reference_poisson,reference_coe",
+        (
+            (
+                format_float(lo),
+                format_float(hi),
+                format_float(d),
+                format_float(reference_pdf("poisson", m)),
+                format_float(reference_pdf("coe", m)),
+            )
+            for lo, hi, d, m in zip(edges[:-1], edges[1:], density, mids)
+        ),
+    )
+
+
+def write_fidelity_table(path: Path, payloads: list[dict], epsilons) -> None:
+    """Spectral fidelity per configuration and epsilon, averaged over realizations.
+
+    Each mean runs over the realizations where the fidelity is finite
+    and is "nan" where it never is, which raises no RuntimeWarning.
+    """
+    rows = []
+    for eps in epsilons:
+        stack = np.vstack([p["spectrum"][eps_tag(eps)] for p in payloads])
+        finite = np.isfinite(stack)
+        counts = finite.sum(axis=0)
+        sums = np.where(finite, stack, 0.0).sum(axis=0)
+        mean = np.divide(sums, counts, out=np.full(stack.shape[1], np.nan), where=counts > 0)
+        rows += [
+            (i, format_float(eps), "nan" if np.isnan(f) else format_float(f))
+            for i, f in enumerate(mean)
+        ]
+    write_csv(path, "config,epsilon,fidelity", rows)
+
+
+def write_walk_tables(out: Path, suffix: str, prs, populations) -> list[Path]:
+    """Write pr-<suffix>.csv and walk-<suffix>.csv; returns both paths."""
+    pr_path, walk_path = out / f"pr-{suffix}.csv", out / f"walk-{suffix}.csv"
+    write_csv(pr_path, "config,pr", ((i, format_float(v)) for i, v in enumerate(prs)))
+    write_csv(
+        walk_path,
+        "period,config,population",
+        (
+            (m, i, format_float(populations[m, i]))
+            for m in range(populations.shape[0])
+            for i in range(populations.shape[1])
+        ),
+    )
+    return [pr_path, walk_path]
+
+
+def write_classical_table(path: Path, params: SpinChainParams) -> None:
+    """Energy and fixed-point stability of every classical corner configuration."""
     n = params.n
+    rows = []
     for index in range(2**n):
         bits = format(index, f"0{n}b")
-        thetas = np.array([0.0 if b == "1" else pi for b in bits])
-        config = ClassicalConfiguration(thetas=thetas)
+        config = ClassicalConfiguration(thetas=np.array([0.0 if b == "1" else pi for b in bits]))
         report = classify_fixed_point(jacobian(config, params))
-        yield (
-            bits,
-            _format_float(classical_energy(config, params)),
-            _format_float(float(report.eigenvalues.min())),
-            _format_float(float(report.eigenvalues.max())),
-            report.classification,
+        rows.append(
+            (
+                bits,
+                format_float(classical_energy(config, params)),
+                format_float(float(report.eigenvalues.min())),
+                format_float(float(report.eigenvalues.max())),
+                report.classification,
+            )
         )
+    write_csv(path, "configuration,energy,min_eigenvalue,max_eigenvalue,classification", rows)

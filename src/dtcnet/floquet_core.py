@@ -21,7 +21,7 @@ from .spin_hilbert import (
     DenseOperator,
     DisorderRealization,
     SpinChainParams,
-    build_drive,
+    diagonal_energies,
     interaction_energies,
     pauli_string,
 )
@@ -122,7 +122,8 @@ def floquet_operator(H1: DenseOperator, H2: DenseOperator, params: SpinChainPara
     because the drive has a rigid shape: H1 must be a uniform transverse
     pulse c * sum_l sigma_l^x (commuting single-site terms, so its
     exponential is a tensor power of one-qubit rotations) and H2 must be
-    diagonal. Both structures are verified, not assumed.
+    diagonal. Both structures are verified, not assumed. This is the
+    reference path that drive_unitary is tested against.
     """
     if H1.matrix.shape != H2.matrix.shape:
         raise ValueError(
@@ -130,24 +131,27 @@ def floquet_operator(H1: DenseOperator, H2: DenseOperator, params: SpinChainPara
         )
     if H1.n != params.n:
         raise ValueError(f"drive acts on {H1.n} sites, params.n = {params.n}")
-    n, dim = params.n, params.dim
+    n = params.n
 
     offdiag = H2.matrix - np.diag(H2.matrix.diagonal())
     if np.abs(offdiag).max() > STRUCTURE_TOL:
         raise ValueError("H2 must be diagonal in the configuration basis")
-    diag = H2.matrix.diagonal().real
 
     c = H1.matrix[0, 1].real
     xsum = sum(pauli_string([(l, "x")], n).matrix for l in range(1, n + 1))
     if np.abs(H1.matrix - c * xsum).max() > STRUCTURE_TOL * max(1.0, abs(c)):
         raise ValueError("H1 must be a uniform transverse pulse c * sum_l sigma_l^x")
+    return _closed_form_propagator(params, H2.matrix.diagonal().real, c)
 
+
+def _closed_form_propagator(params: SpinChainParams, diag: np.ndarray, c: float) -> FloquetOperator:
+    """U = diag(exp(-i diag T2)) R^(x n), with R = exp(-i c T1 sigma^x) one pulsed spin."""
     theta = c * params.T1
     rot = np.array(
         [[np.cos(theta), -1j * np.sin(theta)], [-1j * np.sin(theta), np.cos(theta)]]
     )
     U1 = np.array([[1.0 + 0.0j]])
-    for _ in range(n):
+    for _ in range(params.n):
         U1 = np.kron(U1, rot)
     matrix = np.exp(-1j * diag * params.T2)[:, None] * U1
     return FloquetOperator(
@@ -156,9 +160,14 @@ def floquet_operator(H1: DenseOperator, H2: DenseOperator, params: SpinChainPara
 
 
 def drive_unitary(params: SpinChainParams, disorder: DisorderRealization) -> FloquetOperator:
-    """Shorthand for floquet_operator over build_drive(params, disorder)."""
-    H1, H2 = build_drive(params, disorder)
-    return floquet_operator(H1, H2, params)
+    """One-period propagator of the drive, built straight from its parameters.
+
+    Takes the Ising-step energies and the pulse amplitude g(1 - epsilon)
+    without assembling the dense drive Hamiltonians; the matrix and hash
+    equal floquet_operator(*build_drive(params, disorder), params).
+    """
+    diag = diagonal_energies(params, disorder)
+    return _closed_form_propagator(params, diag, params.g * (1.0 - params.epsilon))
 
 
 def squared_floquet(op: FloquetOperator) -> FloquetOperator:
@@ -266,10 +275,15 @@ def bch_effective_2T(params: SpinChainParams, disorder: DisorderRealization) -> 
     T = params.period
     matrix = np.diag((params.T2 / T) * interaction_energies(params)).astype(complex)
     pref = params.g * params.epsilon * params.T1 / (2.0 * T)
+    rows = np.arange(2**n)
     for l in range(1, n + 1):
         phase = 2.0 * params.T2 * disorder.fields[l - 1]
-        matrix -= pref * (np.cos(phase) + 1.0) * pauli_string([(l, "x")], n).matrix
-        matrix -= pref * np.sin(phase) * pauli_string([(l, "y")], n).matrix
+        flip = 1 << (n - l)
+        # sigma_l^x and sigma_l^y live on the single-flip pairs (i, i ^ flip);
+        # sigma_l^y[i, i ^ flip] is +i where site l is down in row i, -i where up
+        y_sign = np.where(rows & flip, 1.0, -1.0)
+        x_part = -pref * (np.cos(phase) + 1.0)
+        matrix[rows, rows ^ flip] = x_part + 1j * (pref * np.sin(phase)) * y_sign
     return EffectiveHamiltonian(matrix=matrix, period=2.0 * T)
 
 

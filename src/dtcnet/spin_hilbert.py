@@ -8,7 +8,7 @@ All operators are dense 2^n x 2^n complex matrices in this basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi
 
 import numpy as np
@@ -28,6 +28,7 @@ __all__ = [
     "domain_wall_operator",
     "parity_operator",
     "interaction_energies",
+    "diagonal_energies",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -251,22 +252,28 @@ def interaction_energies(params: SpinChainParams) -> np.ndarray:
     return 0.5 * np.einsum("il,lm,im->i", zs, J, zs)
 
 
+def diagonal_energies(params: SpinChainParams, disorder: DisorderRealization) -> np.ndarray:
+    """Diagonal of the Ising step H2: E(i) = sum_{l<m} J_lm z_l z_m + sum_l B_l z_l."""
+    if disorder.n != params.n:
+        raise ValueError(f"disorder has {disorder.n} fields, params.n = {params.n}")
+    return interaction_energies(params) + spin_z_table(params.n) @ disorder.fields
+
+
 def build_drive(params: SpinChainParams, disorder: DisorderRealization) -> tuple[DenseOperator, DenseOperator]:
-    """Build the two step Hamiltonians of the drive.
+    """Build the two step Hamiltonians of the drive as dense matrices.
 
     H1 = g(1 - epsilon) * sum_l sigma_l^x couples configurations one bit
     flip apart; H2 = sum_{l<m} J_lm sigma_l^z sigma_m^z + sum_l B_l
-    sigma_l^z is diagonal in the configuration basis.
+    sigma_l^z is diagonal in the configuration basis. This is the
+    reference path: drive_unitary builds the propagator from the same
+    parameters without these matrices.
     """
-    if disorder.n != params.n:
-        raise ValueError(f"disorder has {disorder.n} fields, params.n = {params.n}")
+    diag = diagonal_energies(params, disorder)
     n = params.n
     amp = params.g * (1.0 - params.epsilon)
     H1 = np.zeros((2**n, 2**n), dtype=complex)
     for l in range(1, n + 1):
         H1 += amp * pauli_string([(l, "x")], n).matrix
-    zs = spin_z_table(n)
-    diag = interaction_energies(params) + zs @ disorder.fields
     H2 = np.diag(diag.astype(complex))
     return (
         DenseOperator(matrix=H1, n=n, hermitian_flag=True),

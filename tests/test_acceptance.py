@@ -36,7 +36,7 @@ from dtcnet import (
     sample_disorder,
     squared_floquet,
 )
-from dtcnet.ensemble import _realization_payload
+from dtcnet.ensemble import realization_outputs
 from invariants import SUITE, _fd_hessian
 
 
@@ -249,7 +249,7 @@ def test_c10_stability_ranking():
         periods=64,
     )
     stack = np.vstack(
-        [_realization_payload(spec, r)["spectrum"]["0p03"] for r in range(10)]
+        [realization_outputs(spec, r)["spectrum"]["0p03"] for r in range(10)]
     )
     finite = np.isfinite(stack)
     mean_fid = np.where(finite, stack, 0.0).sum(axis=0) / np.maximum(

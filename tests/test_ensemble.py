@@ -3,12 +3,15 @@
 import csv
 import json
 import tempfile
+import warnings
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dtcnet
+import dtcnet.ensemble
 from dtcnet import EnsembleSpec, SpinChainParams, run_ensemble
 from invariants import (
     check_manifest_artifacts_parse,
@@ -143,6 +146,59 @@ class TestRunEnsemble:
             echoed = manifest.spec
             assert echoed["seed"] == 8
             assert echoed["params"]["n"] == 3
+
+
+class _FrozenClock(datetime):
+    """A datetime whose now() is always the same second."""
+
+    @classmethod
+    def now(cls, tz=None):
+        return datetime(2024, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
+
+
+def _csv_bytes(manifest) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(Path(manifest.run_dir).glob("*.csv"))}
+
+
+class TestRunHygiene:
+    def test_spectrum_task_emits_no_runtime_warning(self, tmp_path):
+        # zero-magnetization configurations have all-NaN fidelity columns;
+        # their mean must come out as "nan" without a RuntimeWarning
+        spec = _spec(params=SpinChainParams(n=4), epsilons=(0.0, 0.1), tasks=frozenset({"spectrum"}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            manifest = run_ensemble(spec, out_dir=tmp_path)
+        assert "nan" in (Path(manifest.run_dir) / "fidelity-eps0p1.csv").read_text()
+
+    def test_same_second_runs_do_not_collide(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dtcnet.ensemble, "datetime", _FrozenClock)
+        first = run_ensemble(_spec(), out_dir=tmp_path)
+        second = run_ensemble(_spec(), out_dir=tmp_path)
+        assert Path(first.run_dir).name == "run-20240102-030405-seed11"
+        assert Path(second.run_dir).name == "run-20240102-030405-seed11-1"
+        for manifest in (first, second):
+            assert (Path(manifest.run_dir) / "manifest.json").is_file()
+
+    def test_threaded_run_writes_identical_csvs(self, tmp_path, monkeypatch):
+        spec = _spec(
+            params=SpinChainParams(n=4),
+            epsilons=(0.0, 0.1),
+            realizations=2,
+            tasks=frozenset(dtcnet.TASKS),
+        )
+        monkeypatch.delenv("DTCNET_THREADS", raising=False)
+        serial = run_ensemble(spec, out_dir=tmp_path / "serial")
+        monkeypatch.setenv("DTCNET_THREADS", "2")
+        threaded = run_ensemble(spec, out_dir=tmp_path / "threaded")
+        assert len(_csv_bytes(serial)) > 10
+        assert _csv_bytes(threaded) == _csv_bytes(serial)
+
+    def test_non_integer_thread_count_is_noted(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DTCNET_THREADS", "abc")
+        manifest = run_ensemble(_spec(), out_dir=tmp_path)
+        assert any("DTCNET_THREADS='abc'" in note for note in manifest.notes)
+        saved = json.loads((Path(manifest.run_dir) / "manifest.json").read_text())
+        assert saved["notes"] == manifest.notes
 
 
 class TestReproducibility:

@@ -213,7 +213,47 @@ class TestSquaredFloquet:
         assert np.allclose(np.sort(folded), np.sort(doubled), atol=1e-10)
 
 
+class TestDriveUnitary:
+    @pytest.mark.parametrize("n", [2, 3, 6, 8])
+    @pytest.mark.parametrize("eps", [0.0, 0.012, 0.3])
+    def test_matches_reference_path(self, n, eps):
+        # built from (params, disorder) it must equal the dense reference
+        # path exactly: same matrix bits, same provenance hash
+        params = SpinChainParams(n=n, epsilon=eps)
+        disorder = sample_disorder(params, 17, 2)
+        direct = drive_unitary(params, disorder)
+        reference = floquet_operator(*build_drive(params, disorder), params)
+        assert np.array_equal(direct.matrix, reference.matrix)
+        assert direct.params_hash == reference.params_hash
+        assert direct.period == reference.period
+
+    def test_disorder_size_mismatch_rejected(self):
+        disorder = sample_disorder(SpinChainParams(n=3), 1, 0)
+        with pytest.raises(ValueError):
+            drive_unitary(SpinChainParams(n=4), disorder)
+
+
+def _dense_bch_reference(params: SpinChainParams, disorder) -> np.ndarray:
+    """The paper formula summed over dense single-site Pauli strings."""
+    n, T = params.n, params.period
+    matrix = np.diag((params.T2 / T) * interaction_energies(params)).astype(complex)
+    pref = params.g * params.epsilon * params.T1 / (2.0 * T)
+    for l in range(1, n + 1):
+        phase = 2.0 * params.T2 * disorder.fields[l - 1]
+        matrix -= pref * (np.cos(phase) + 1.0) * pauli_string([(l, "x")], n).matrix
+        matrix -= pref * np.sin(phase) * pauli_string([(l, "y")], n).matrix
+    return matrix
+
+
 class TestBchEffective2T:
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_matches_dense_pauli_reference(self, n):
+        params = SpinChainParams(n=n, epsilon=0.02, W=np.pi)
+        disorder = sample_disorder(params, 161, 0)
+        assert np.any(disorder.fields != 0.0)
+        got = bch_effective_2T(params, disorder).matrix
+        assert np.array_equal(got, _dense_bch_reference(params, disorder))
+
     def test_zero_error_is_pure_ising(self):
         params = SpinChainParams(n=4, epsilon=0.0)
         H = bch_effective_2T(params, sample_disorder(params, 131, 0))
