@@ -197,7 +197,8 @@ def _cmd_simulate(args, config: dict) -> int:
     U = drive_unitary(params, disorder)
     spectrum = floquet_spectrum(U)
     heff_T = effective_hamiltonian(spectrum)
-    heff_2T = effective_hamiltonian(floquet_spectrum(squared_floquet(U)))
+    spectrum_2T = floquet_spectrum(squared_floquet(U))
+    heff_2T = effective_hamiltonian(spectrum_2T)
     bch = bch_effective_2T(params, disorder)
 
     np.save(out / "U.npy", U.matrix)
@@ -211,6 +212,13 @@ def _cmd_simulate(args, config: dict) -> int:
     )
     for warning in spectrum.branch_warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    for tag, solved in (("T", spectrum), ("2T", spectrum_2T)):
+        if solved.schur_fallbacks:
+            print(
+                f"warning: {solved.schur_fallbacks} spectrum blocks at {tag} "
+                "solved by Schur fallback",
+                file=sys.stderr,
+            )
     print(f"wrote U.npy, heff_T.npy, heff_2T.npy, heff_2T_bch.npy, quasienergies.csv in {out}")
     return 0
 
@@ -352,6 +360,13 @@ def _cmd_spectrum(args, config: dict) -> int:
 
 
 def _cmd_walk(args, config: dict) -> int:
+    # one realization over the tunneling horizon; config keys stay
+    # accepted so one JSON file can serve ensemble and walk
+    for flag in ("realizations", "periods"):
+        if getattr(args, flag) is not None:
+            raise CliError(
+                f"walk does not take --{flag}: it runs realization 0 up to the tunneling horizon"
+            )
     params = _params_from(args, config)
     eps = _single_epsilon(_resolve(args, config, "epsilon", None))
     if eps <= 0:

@@ -189,8 +189,10 @@ def _batch_magnetization(U: np.ndarray, sign_sum: np.ndarray, periods: int) -> n
 def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     """Everything disorder realization r contributes to a run.
 
-    The result holds "warnings" (branch-cut and skipped-task records) and,
-    for each task in spec.tasks, a dict keyed by eps_tag(epsilon):
+    The result holds "warnings" (branch-cut and skipped-task records),
+    "notes" (spectra whose block solve fell back to Schur, for the
+    manifest) and, for each task in spec.tasks, a dict keyed by
+    eps_tag(epsilon):
 
     - "graph": (percolation graph at T, percolation graph at 2T);
     - "levelstats": (gap ratios, count of excluded degenerate gaps);
@@ -203,7 +205,14 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     reduce these payloads.
     """
     disorder = sample_disorder(spec.params, spec.seed, r)
-    payload: dict = {"warnings": []}
+    payload: dict = {"warnings": [], "notes": []}
+
+    def note_fallbacks(spectrum, eps: float, tag: str) -> None:
+        if spectrum.schur_fallbacks:
+            payload["notes"].append(
+                f"eps={eps:g} realization {r} {tag}: "
+                f"{spectrum.schur_fallbacks} spectrum blocks solved by Schur fallback"
+            )
     n = spec.params.n
     sign_sum = spin_z_table(n).sum(axis=1)
 
@@ -221,6 +230,7 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
 
         if "graph" in spec.tasks or "levelstats" in spec.tasks:
             spectrum = floquet_spectrum(U)
+            note_fallbacks(spectrum, eps, "T")
             if spectrum.branch_warnings:
                 payload["warnings"].append(
                     {"epsilon": eps, "realization": r, "warnings": list(spectrum.branch_warnings)}
@@ -229,6 +239,7 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
         if "graph" in spec.tasks:
             graph_T = percolation_graph(effective_hamiltonian(spectrum))
             spectrum_2T = floquet_spectrum(squared_floquet(U))
+            note_fallbacks(spectrum_2T, eps, "2T")
             graph_2T = percolation_graph(effective_hamiltonian(spectrum_2T))
             payload.setdefault("graph", {})[key] = (graph_T, graph_2T)
 
@@ -289,6 +300,7 @@ def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
 
     artifacts: dict[str, list[str]] = {}
     warnings = [w for p in payloads for w in p["warnings"]]
+    notes += [note for p in payloads for note in p["notes"]]
     timings = {"map_s": round(time.perf_counter() - t_start, 3)}
 
     def record(task: str, path: Path) -> None:

@@ -51,6 +51,19 @@ DEGENERACY_TOL = 1e-10
 # folding of lambda is numerically unstable there.
 BRANCH_MARGIN = 1e-10
 ORTHONORMALITY_TOL = 1e-12
+# Block eigensolver (see _block_eigensystem). The rotation angle is
+# generic, so that no symmetry of the drive places eigenphase pairs
+# symmetrically about it.
+SPECTRAL_ROTATION = 0.6180339887498949
+# Runs of rotated-Hermitian-part eigenvalues closer than this fraction of
+# their mean spacing 2/dim are re-split as one cluster. eigh mixes two
+# eigenvectors by about 1e-16/gap, and B's residual scales that by
+# |mu_i - mu_j|, which stays O(1) for eigenphases the cosine folds
+# together; re-splitting the close runs keeps the residual at the
+# Schur level (~1e-14 at n = 8 and 10).
+CLUSTER_SPACING = 0.25
+# Largest max |B Z - Z mu| a block solve may leave before Schur takes over.
+RESIDUAL_TOL = 1e-10
 # Deviation allowed when verifying the rigid drive shape (uniform
 # transverse pulse, diagonal Ising step) that the closed-form
 # exponentials rely on.
@@ -76,6 +89,8 @@ class FloquetSpectrum:
 
     branch_warnings lists eigenphases that sit within BRANCH_MARGIN of
     the +-pi cut, where the fold direction is not numerically robust.
+    schur_fallbacks counts the blocks whose eigensolve failed its
+    residual or orthonormality gate and were solved by Schur instead.
     """
 
     quasienergies: np.ndarray
@@ -83,6 +98,7 @@ class FloquetSpectrum:
     eigenvalues: np.ndarray
     period: float
     branch_warnings: tuple[str, ...] = ()
+    schur_fallbacks: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,8 +197,12 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
     """Diagonalize a unitary propagator block by block.
 
     The support graph of |U_ij| > SUPPORT_TOL is split into connected
-    components and each block gets its own complex Schur decomposition.
-    Decoupled blocks therefore never mix: at zero rotation error the
+    components and each block B is solved on its own (see
+    _block_eigensystem): one Hermitian eigensolve of a rotated
+    Hermitian part of B, a small Schur re-split of each run of close
+    eigenvalues, and a residual and orthonormality gate that sends a
+    failing block to a complex Schur decomposition instead. Decoupled
+    blocks therefore never mix: at zero rotation error the
     mirror-symmetric dimer pairs are exactly degenerate, and a dense
     solver would rotate them into each other at machine precision,
     producing spurious couplings. Eigenvectors across blocks have
@@ -194,15 +214,21 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
         raise ValueError("propagator must be square")
     support = csr_matrix(np.abs(U) > SUPPORT_TOL)
     n_comp, labels = connected_components(support, directed=False)
-    eigenvalues = np.zeros(dim, dtype=complex)
-    states = np.zeros((dim, dim), dtype=complex)
-    col = 0
-    for comp in range(n_comp):
-        idx = np.flatnonzero(labels == comp)
-        tmat, z = scipy.linalg.schur(U[np.ix_(idx, idx)], output="complex")
-        eigenvalues[col : col + idx.size] = np.diag(tmat)
-        states[idx, col : col + idx.size] = z
-        col += idx.size
+    fallbacks = 0
+    if n_comp == 1:
+        eigenvalues, states, fell_back = _block_eigensystem(U)
+        fallbacks += fell_back
+    else:
+        eigenvalues = np.zeros(dim, dtype=complex)
+        states = np.zeros((dim, dim), dtype=complex)
+        col = 0
+        for comp in range(n_comp):
+            idx = np.flatnonzero(labels == comp)
+            mu, z, fell_back = _block_eigensystem(U[np.ix_(idx, idx)])
+            eigenvalues[col : col + idx.size] = mu
+            states[idx, col : col + idx.size] = z
+            fallbacks += fell_back
+            col += idx.size
 
     cut = np.pi / op.period
     lam = -np.angle(eigenvalues) / op.period
@@ -226,28 +252,72 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
         eigenvalues=eigenvalues,
         period=op.period,
         branch_warnings=warnings,
+        schur_fallbacks=fallbacks,
     )
+
+
+def _block_eigensystem(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Eigenvalues and orthonormal eigenvectors of one unitary block.
+
+    A = (e^{-i phi} B + e^{i phi} B^H)/2 with phi = SPECTRAL_ROTATION is
+    Hermitian, shares B's eigenvectors and has eigenvalues
+    cos(arg mu - phi). One eigh of A gives the basis Z. A run of A
+    eigenvalues closer than CLUSTER_SPACING times their mean spacing
+    may hold eigenphases the cosine folds together, so each run's
+    columns Z_c are re-split by a complex Schur of Z_c^H B Z_c. The
+    eigenvalues are mu = diag(Z^H B Z). A block whose residual
+    max |B Z - Z mu| exceeds RESIDUAL_TOL, or whose Gram defect exceeds
+    ORTHONORMALITY_TOL, is solved by complex Schur instead; the third
+    return value says whether that happened.
+    """
+    if B.shape[0] == 1:
+        return B[0].copy(), np.ones((1, 1), dtype=complex), False
+    rot = np.exp(-1j * SPECTRAL_ROTATION)
+    # built as A^T in row-major order, which is A in the column-major
+    # order LAPACK overwrites in place with the eigenvectors
+    At = np.conj(B)
+    At *= np.conj(rot)
+    At += rot * B.T
+    At *= 0.5
+    w, Z = scipy.linalg.eigh(At.T, overwrite_a=True, check_finite=False, driver="evd")
+    BZ = B @ Z
+    for start, stop in _runs(w, CLUSTER_SPACING * 2.0 / w.size):
+        _, q = scipy.linalg.schur(Z[:, start:stop].conj().T @ BZ[:, start:stop], output="complex")
+        Z[:, start:stop] = Z[:, start:stop] @ q
+        BZ[:, start:stop] = BZ[:, start:stop] @ q
+    mu = np.einsum("ij,ij->j", Z.conj(), BZ)
+    BZ -= Z * mu
+    residual = np.abs(BZ).max()
+    del BZ  # before the Gram matrix is allocated, to keep the peak low
+    # Z^H Z, upper triangle only; the lower one is left zero
+    gram = scipy.linalg.blas.zherk(1.0, Z, trans=2)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    if residual <= RESIDUAL_TOL and np.abs(gram).max() <= ORTHONORMALITY_TOL:
+        return mu, Z, False
+    tmat, z = scipy.linalg.schur(B, output="complex")
+    return np.diag(tmat).copy(), z, True
+
+
+def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
+    """(start, stop) of each run of two or more sorted values with gaps below tol."""
+    bounds = [0, *(np.flatnonzero(np.diff(values) >= tol) + 1), values.size]
+    return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b - a > 1]
 
 
 def _reorthonormalize_clusters(lam: np.ndarray, states: np.ndarray) -> None:
     """QR-clean eigenvector clusters of near-degenerate quasienergies.
 
-    Schur blocks already give orthonormal columns, so this is a safety
-    net: it only rewrites a cluster whose Gram matrix departs from the
-    identity by more than ORTHONORMALITY_TOL.
+    The block solver returns orthonormal columns (its eigh result is
+    gated on the Gram defect, its Schur fallback is unitary), so this is
+    a safety net: it only rewrites a cluster whose Gram matrix departs
+    from the identity by more than ORTHONORMALITY_TOL.
     """
-    if lam.size < 2:
-        return
-    breaks = np.flatnonzero(np.diff(lam) >= DEGENERACY_TOL)
-    start = 0
-    for stop in [*list(breaks + 1), lam.size]:
-        if stop - start > 1:
-            block = states[:, start:stop]
-            gram = block.conj().T @ block
-            if np.abs(gram - np.eye(stop - start)).max() > ORTHONORMALITY_TOL:
-                q, _ = np.linalg.qr(block)
-                states[:, start:stop] = q
-        start = stop
+    for start, stop in _runs(lam, DEGENERACY_TOL):
+        block = states[:, start:stop]
+        gram = block.conj().T @ block
+        if np.abs(gram - np.eye(stop - start)).max() > ORTHONORMALITY_TOL:
+            q, _ = np.linalg.qr(block)
+            states[:, start:stop] = q
 
 
 def effective_hamiltonian(spectrum: FloquetSpectrum) -> EffectiveHamiltonian:

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dtcnet import (
     SpinChainParams,
@@ -83,3 +84,20 @@ def sweep_n8():
             bucket["largest"].append(clusters(graph).sizes[0] / dim)
     elapsed = time.perf_counter() - t0
     return {"data": data, "elapsed": elapsed, "dim": dim}
+
+
+@pytest.fixture
+def skewed_eigh(monkeypatch):
+    """Make every scipy.linalg.eigh basis non-orthonormal.
+
+    floquet_spectrum's block solver then fails its orthonormality gate on
+    every block larger than 1x1 and falls back to Schur.
+    """
+    real_eigh = scipy.linalg.eigh
+
+    def skewed(*args, **kwargs):
+        w, z = real_eigh(*args, **kwargs)
+        z[:, 0] += 1e-6 * z[:, 1]
+        return w, z
+
+    monkeypatch.setattr(scipy.linalg, "eigh", skewed)

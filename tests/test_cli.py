@@ -94,6 +94,8 @@ class TestValidation:
             ["walk", "--n", "4", "--epsilon", "0"],  # horizon diverges
             ["level-stats", "--n", "4", "--epsilon", "0.01", "--realizations", "0"],
             ["ensemble"],  # --config required
+            ["walk", "--n", "4", "--epsilon", "0.1", "--realizations", "5"],  # one realization
+            ["walk", "--n", "4", "--epsilon", "0.1", "--periods", "3"],  # horizon sets the length
         ],
     )
     def test_exits_1(self, argv, capsys, tmp_path):
@@ -212,6 +214,14 @@ class TestSimulateCommand:
         lams = np.array([float(v) for _, v in body])
         assert np.all(np.abs(lams) <= np.pi / 2.0 + 1e-12)  # window for T = 2
 
+    def test_schur_fallback_reported_on_stderr(self, tmp_path, capsys, skewed_eigh):
+        assert main(
+            ["simulate", "--n", "4", "--epsilon", "0.02", "--out-dir", str(tmp_path)]
+        ) == 0
+        err = capsys.readouterr().err
+        assert "warning: 1 spectrum blocks at T solved by Schur fallback" in err
+        assert "warning: 1 spectrum blocks at 2T solved by Schur fallback" in err
+
 
 class TestLevelStatsCommand:
     def test_histogram_with_reference_overlays(self, tmp_path):
@@ -297,6 +307,15 @@ class TestWalkCommand:
         assert ph == ["config", "pr"]
         assert len(pbody) == 16
         assert all(float(v) >= 1.0 - 1e-12 for _, v in pbody)
+
+    def test_ensemble_config_keys_accepted(self, tmp_path):
+        # one JSON file serves ensemble and walk; only the flags are refused
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4, "epsilon": 0.1, "realizations": 5, "periods": 3}))
+        assert main(["walk", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        horizon = walk_horizon_periods(SpinChainParams(n=4, epsilon=0.1))
+        _, body = _read_csv(tmp_path / "walk-eps0p1.csv")
+        assert len(body) == (horizon + 1) * 16
 
 
 class TestClassicalCommand:

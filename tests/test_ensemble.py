@@ -200,6 +200,17 @@ class TestRunHygiene:
         saved = json.loads((Path(manifest.run_dir) / "manifest.json").read_text())
         assert saved["notes"] == manifest.notes
 
+    def test_schur_fallbacks_are_noted(self, tmp_path, skewed_eigh):
+        manifest = run_ensemble(_spec(epsilons=(0.1,)), out_dir=tmp_path)
+        assert [note for note in manifest.notes if "Schur fallback" in note] == [
+            "eps=0.1 realization 0 T: 1 spectrum blocks solved by Schur fallback",
+            "eps=0.1 realization 0 2T: 1 spectrum blocks solved by Schur fallback",
+        ]
+
+    def test_no_fallback_note_without_fallbacks(self, tmp_path):
+        manifest = run_ensemble(_spec(epsilons=(0.1,)), out_dir=tmp_path)
+        assert not any("Schur fallback" in note for note in manifest.notes)
+
 
 class TestReproducibility:
     def test_serial_rerun_bit_identical(self):

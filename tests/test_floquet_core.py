@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from dtcnet import (
     Configuration,
@@ -13,13 +15,16 @@ from dtcnet import (
     effective_hamiltonian,
     floquet_operator,
     floquet_spectrum,
+    gap_ratios,
     interaction_energies,
     pauli_string,
+    percolation_graph,
     sample_disorder,
     squared_floquet,
     stroboscopic_evolve,
 )
-from dtcnet.floquet_core import FloquetOperator, drive_unitary
+from dtcnet import floquet_core
+from dtcnet.floquet_core import FloquetOperator, FloquetSpectrum, drive_unitary
 from invariants import (
     check_bch_quadratic_scaling,
     check_conserved_at_zero_error,
@@ -145,6 +150,99 @@ class TestFloquetSpectrum:
         assert "branch" in spectrum.branch_warnings[0]
         clean = floquet_spectrum(_identity_floquet(2, period=1.0))
         assert clean.branch_warnings == ()
+
+
+def _schur_reference(op: FloquetOperator) -> FloquetSpectrum:
+    """The spectrum from one complex Schur decomposition per support block."""
+    U = op.matrix
+    dim = U.shape[0]
+    support = csr_matrix(np.abs(U) > floquet_core.SUPPORT_TOL)
+    n_comp, labels = connected_components(support, directed=False)
+    eigenvalues = np.zeros(dim, dtype=complex)
+    states = np.zeros((dim, dim), dtype=complex)
+    col = 0
+    for comp in range(n_comp):
+        idx = np.flatnonzero(labels == comp)
+        tmat, z = scipy.linalg.schur(U[np.ix_(idx, idx)], output="complex")
+        eigenvalues[col : col + idx.size] = np.diag(tmat)
+        states[idx, col : col + idx.size] = z
+        col += idx.size
+    cut = np.pi / op.period
+    lam = -np.angle(eigenvalues) / op.period
+    lam = np.where(lam <= -cut, lam + 2.0 * cut, lam)
+    order = np.argsort(lam, kind="stable")
+    lam, states = lam[order], states[:, order]
+    floquet_core._reorthonormalize_clusters(lam, states)
+    return FloquetSpectrum(
+        quasienergies=lam, states=states, eigenvalues=eigenvalues[order], period=op.period
+    )
+
+
+def _random_unitary(dim: int, phases: np.ndarray, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return (q * np.exp(1j * phases)) @ q.conj().T
+
+
+class TestBlockEigensolver:
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    @pytest.mark.parametrize("eps", [0.0, 0.012, 0.1])
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_matches_schur_reference(self, n, eps, squared):
+        params = SpinChainParams(n=n, epsilon=eps)
+        op = drive_unitary(params, sample_disorder(params, 1234, 1))
+        if squared:
+            op = squared_floquet(op)
+        spectrum = floquet_spectrum(op)
+        reference = _schur_reference(op)
+        assert spectrum.schur_fallbacks == 0
+        assert np.abs(spectrum.quasienergies - reference.quasienergies).max() < 1e-13
+        H = effective_hamiltonian(spectrum)
+        H_ref = effective_hamiltonian(reference)
+        assert np.abs(H.matrix - H_ref.matrix).max() < 1e-11
+        assert percolation_graph(H).edges == percolation_graph(H_ref).edges
+        assert (
+            gap_ratios(spectrum.quasienergies).excluded_degenerate
+            == gap_ratios(reference.quasienergies).excluded_degenerate
+        )
+
+    def test_folded_eigenphase_pairs_are_resplit(self, monkeypatch):
+        # eigenphases phi +- delta share the rotated Hermitian part's
+        # eigenvalue cos(delta) exactly: eigh alone cannot separate the
+        # pair, the cluster re-split must, without a Schur fallback
+        phi = floquet_core.SPECTRAL_ROTATION
+        folded = np.array([phi - 1.7, phi - 0.9, phi - 0.3, phi + 0.3, phi + 0.9, phi + 1.7])
+        phases = np.concatenate([folded, [-2.9, -2.2, -1.2, 0.05, 2.5, 3.0]])
+        op = FloquetOperator(
+            matrix=_random_unitary(phases.size, phases, 7), period=1.0, params_hash="test"
+        )
+        schur_sizes = []
+        real_schur = scipy.linalg.schur
+
+        def recording_schur(a, *args, **kwargs):
+            schur_sizes.append(a.shape[0])
+            return real_schur(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", recording_schur)
+        spectrum = floquet_spectrum(op)
+        assert spectrum.schur_fallbacks == 0
+        assert schur_sizes and max(schur_sizes) < phases.size
+        expected = np.sort(-np.angle(np.exp(1j * phases)))
+        assert np.abs(spectrum.quasienergies - expected).max() < 1e-13
+        mu = np.exp(-1j * spectrum.quasienergies)
+        V = spectrum.states
+        assert np.abs(op.matrix @ V - V * mu).max() < 1e-13
+        assert np.abs(V.conj().T @ V - np.eye(phases.size)).max() < 1e-13
+
+    def test_gate_failure_falls_back_to_schur(self, skewed_eigh):
+        params = SpinChainParams(n=6, epsilon=0.012)
+        op = drive_unitary(params, sample_disorder(params, 1234, 0))
+        spectrum = floquet_spectrum(op)
+        reference = _schur_reference(op)
+        assert spectrum.schur_fallbacks == 1
+        assert np.array_equal(spectrum.quasienergies, reference.quasienergies)
+        assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
+        assert np.array_equal(spectrum.states, reference.states)
 
 
 class TestEffectiveHamiltonian:
