@@ -78,39 +78,50 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=None, help="number of sites")
-    p.add_argument("--epsilon", type=str, default=None, help="rotation error(s), comma separated")
-    p.add_argument("--t1", type=float, default=None, help="pulse duration T1")
-    p.add_argument("--t2", type=float, default=None, help="interaction duration T2")
-    p.add_argument("--j0", type=float, default=None, help="interaction scale J0")
-    p.add_argument("--alpha", type=float, default=None, help="coupling power-law exponent")
-    p.add_argument("--disorder-w", type=float, default=None, help="disorder strength W")
-    p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    p.add_argument("--realizations", type=int, default=None, help="disorder realization count")
-    p.add_argument("--periods", type=int, default=None, help="stroboscopic period count")
-    p.add_argument("--out-dir", type=str, default=None, help="output directory")
-    p.add_argument("--format", type=str, default=None, choices=("csv", "dot", "graphml"),
-                   help="graph export format")
-    p.add_argument("--config", type=str, default=None, help="JSON config file")
+_FLAGS = {
+    "n": dict(type=int, help="number of sites"),
+    "epsilon": dict(type=str, help="rotation error(s), comma separated"),
+    "t1": dict(type=float, help="pulse duration T1"),
+    "t2": dict(type=float, help="interaction duration T2"),
+    "j0": dict(type=float, help="interaction scale J0"),
+    "alpha": dict(type=float, help="coupling power-law exponent"),
+    "disorder-w": dict(type=float, help="disorder strength W"),
+    "seed": dict(type=int, help="base RNG seed"),
+    "realizations": dict(type=int, help="disorder realization count"),
+    "periods": dict(type=int, help="stroboscopic period count"),
+    "out-dir": dict(type=str, help="output directory"),
+    "format": dict(type=str, choices=("csv", "dot", "graphml"), help="graph export format"),
+    "config": dict(type=str, help="JSON config file"),
+}
+_CHAIN = ("n", "t1", "t2", "j0", "alpha", "disorder-w")
+
+# subcommand -> (description, the flags its handler reads); any other
+# flag is a parse error, while config-file keys are never checked
+_SUBCOMMANDS = {
+    "simulate": ("write the propagator, effective Hamiltonians, and quasienergies",
+                 (*_CHAIN, "epsilon", "seed", "out-dir")),
+    "graph": ("build and export the percolation graph",
+              (*_CHAIN, "epsilon", "seed", "out-dir", "format")),
+    "degree-fit": ("power-law / lognormal / Poisson fits of a degree CSV", ("n", "epsilon", "out-dir")),
+    "level-stats": ("pooled gap-ratio histogram with reference overlays",
+                    (*_CHAIN, "epsilon", "seed", "realizations", "out-dir")),
+    "spectrum": ("magnetization series, power spectra, fidelity grid",
+                 (*_CHAIN, "epsilon", "seed", "realizations", "periods", "out-dir")),
+    "walk": ("quantum-walk populations and participation ratios",
+             (*_CHAIN, "epsilon", "seed", "out-dir")),
+    "classical": ("fixed-point stability sweep over corner configurations", (*_CHAIN, "out-dir")),
+    "ensemble": ("run a JSON-configured disorder ensemble",
+                 (*_CHAIN, "epsilon", "seed", "realizations", "periods", "out-dir")),
+}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dtcnet", description="driven spin chains as configuration-space graphs")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
-    descriptions = {
-        "simulate": "write the propagator, effective Hamiltonians, and quasienergies",
-        "graph": "build and export the percolation graph",
-        "degree-fit": "power-law / lognormal / Poisson fits of a degree CSV",
-        "level-stats": "pooled gap-ratio histogram with reference overlays",
-        "spectrum": "magnetization series, power spectra, fidelity grid",
-        "walk": "quantum-walk populations and participation ratios",
-        "classical": "fixed-point stability sweep over corner configurations",
-        "ensemble": "run a JSON-configured disorder ensemble",
-    }
-    for name, description in descriptions.items():
+    for name, (description, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=description, description=description)
-        _add_common_flags(p)
+        for flag in (*flags, "config"):
+            p.add_argument(f"--{flag}", default=None, **_FLAGS[flag])
         if name == "degree-fit":
             p.add_argument("degree_csv", type=str, help="CSV with a degree column")
     return parser
@@ -360,13 +371,6 @@ def _cmd_spectrum(args, config: dict) -> int:
 
 
 def _cmd_walk(args, config: dict) -> int:
-    # one realization over the tunneling horizon; config keys stay
-    # accepted so one JSON file can serve ensemble and walk
-    for flag in ("realizations", "periods"):
-        if getattr(args, flag) is not None:
-            raise CliError(
-                f"walk does not take --{flag}: it runs realization 0 up to the tunneling horizon"
-            )
     params = _params_from(args, config)
     eps = _single_epsilon(_resolve(args, config, "epsilon", None))
     if eps <= 0:
@@ -395,22 +399,15 @@ def _cmd_ensemble(args, config: dict) -> int:
         raise CliError("ensemble requires --config with an EnsembleSpec JSON object")
     payload = dict(config)
     payload.setdefault("params", {})
-    overrides = {
-        "n": args.n, "j0": args.j0, "alpha": args.alpha,
-        "disorder_w": getattr(args, "disorder_w", None), "t1": args.t1, "t2": args.t2,
-    }
-    key_map = {"n": "n", "j0": "J0", "alpha": "alpha", "disorder_w": "W", "t1": "T1", "t2": "T2"}
-    for flag, value in overrides.items():
-        if value is not None:
-            payload["params"][key_map[flag]] = value
+    params_keys = {"n": "n", "j0": "J0", "alpha": "alpha", "disorder_w": "W", "t1": "T1", "t2": "T2"}
+    for flag, key in params_keys.items():
+        if getattr(args, flag) is not None:
+            payload["params"][key] = getattr(args, flag)
     if args.epsilon is not None:
         payload["epsilons"] = list(_parse_epsilons(args.epsilon))
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.realizations is not None:
-        payload["realizations"] = args.realizations
-    if args.periods is not None:
-        payload["periods"] = args.periods
+    for flag in ("seed", "realizations", "periods"):
+        if getattr(args, flag) is not None:
+            payload[flag] = getattr(args, flag)
 
     try:
         spec = EnsembleSpec.from_json(payload)

@@ -10,10 +10,10 @@ from scipy.integrate import quad
 
 from .floquet_core import FloquetOperator, drive_unitary, stroboscopic_evolve
 from .spin_hilbert import (
+    SIGMA_Z,
     Configuration,
     DisorderRealization,
     SpinChainParams,
-    pauli_string,
     spin_z_table,
 )
 
@@ -33,6 +33,7 @@ __all__ = [
     "walk_populations",
     "participation_ratio",
     "walk_horizon_periods",
+    "basis_dynamics",
     "pr_distribution",
 ]
 
@@ -178,8 +179,12 @@ def magnetization_series(U: FloquetOperator, initial: Configuration, N: int) -> 
         raise ValueError("initial configuration does not match the propagator dimension")
     states = stroboscopic_evolve(U, initial, N)
 
-    sz_total = sum(pauli_string([(l, "z")], n).matrix for l in range(1, n + 1))
-    direct = np.real(np.einsum("mi,ij,mj->m", states.conj(), sz_total, states)) / n
+    # operator path: the diagonal of sum_l sigma^z_l, site 1 the leading kron factor
+    z = np.real(np.diag(SIGMA_Z))
+    sz_total = sum(
+        np.kron(np.kron(np.ones(2 ** (l - 1)), z), np.ones(2 ** (n - l))) for l in range(1, n + 1)
+    )
+    direct = np.real(np.einsum("mi,i,mi->m", states.conj(), sz_total, states)) / n
 
     # population path: bit b of config j contributes -(-1)^b
     sign_sum = spin_z_table(n).sum(axis=1)
@@ -263,16 +268,35 @@ def walk_horizon_periods(params: SpinChainParams) -> int:
     return max(1, int(round(tau_over_T)))
 
 
-def pr_distribution(params: SpinChainParams, disorder: DisorderRealization) -> np.ndarray:
-    """Participation ratio of every initial configuration at the horizon.
+def basis_dynamics(
+    U: FloquetOperator, periods: int, horizon: int | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Evolve every initial configuration at once by powering the propagator.
 
-    Evolves each basis state for walk_horizon_periods(params) periods
-    (all at once by powering the propagator) and returns the vector of
-    participation ratios indexed by configuration.
+    Starts from W = I and repeats W = U W up to max(periods, horizon).
+    Returns (magnetization, prs): magnetization[m, i] is the per-site z
+    magnetization at m = 0..periods of the state started in
+    configuration i, and prs[i] its participation ratio 1 / sum |W|^4 at
+    m = horizon (None when no horizon is given).
     """
-    periods = walk_horizon_periods(params)
-    U = drive_unitary(params, disorder)
+    if periods < 0 or (horizon is not None and horizon < 1):
+        raise ValueError(f"need periods >= 0 and horizon >= 1, got {periods} and {horizon}")
+    n = U.dim.bit_length() - 1
+    sign_sum = spin_z_table(n).sum(axis=1)
+    magnetization = np.empty((periods + 1, U.dim))
+    magnetization[0] = sign_sum / n  # m = 0: populations are the basis states themselves
+    prs = None
     W = np.eye(U.dim, dtype=complex)
-    for _ in range(periods):
+    for m in range(1, max(periods, horizon or 0) + 1):
         W = U.matrix @ W
-    return 1.0 / np.sum(np.abs(W) ** 4, axis=0)
+        if m <= periods:
+            magnetization[m] = sign_sum @ (np.abs(W) ** 2) / n
+        if m == horizon:
+            prs = 1.0 / np.sum(np.abs(W) ** 4, axis=0)
+    return magnetization, prs
+
+
+def pr_distribution(params: SpinChainParams, disorder: DisorderRealization) -> np.ndarray:
+    """Participation ratio of every configuration at walk_horizon_periods(params)."""
+    horizon = walk_horizon_periods(params)
+    return basis_dynamics(drive_unitary(params, disorder), 0, horizon)[1]

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import (
+    basis_dynamics,
     dft_power,
     gap_ratios,
-    pr_distribution,
     reference_pdf,
     walk_horizon_periods,
     walk_populations,
@@ -39,7 +39,7 @@ from .floquet_core import (
 from .netfit import avg_degree_by_domain_walls, kmin_scan, lognormal_lr_test, log_binned_histogram
 from .percolation_graph import percolation_graph
 from .semiclassical import ClassicalConfiguration, classical_energy, classify_fixed_point, jacobian
-from .spin_hilbert import Configuration, SpinChainParams, sample_disorder, spin_z_table
+from .spin_hilbert import Configuration, SpinChainParams, sample_disorder
 
 __all__ = [
     "EnsembleSpec",
@@ -169,23 +169,6 @@ def eps_tag(eps: float) -> str:
     return f"{eps:g}".replace(".", "p").replace("-", "m")
 
 
-def _batch_magnetization(U: np.ndarray, sign_sum: np.ndarray, periods: int) -> np.ndarray:
-    """Magnetization series for every initial configuration at once.
-
-    Returns an array of shape (periods + 1, dim): column i is the series
-    of initial configuration i, computed from the populations of U^m.
-    """
-    dim = U.shape[0]
-    n = dim.bit_length() - 1
-    out = np.empty((periods + 1, dim))
-    W = np.eye(dim, dtype=complex)
-    out[0] = sign_sum / n  # m = 0: populations are the basis states themselves
-    for m in range(1, periods + 1):
-        W = U @ W
-        out[m] = sign_sum @ (np.abs(W) ** 2) / n
-    return out
-
-
 def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     """Everything disorder realization r contributes to a run.
 
@@ -201,8 +184,11 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     - "walk" (epsilon > 0 only): (participation ratio per configuration,
       walk populations from the all-up configuration).
 
-    run_ensemble and the level-stats, spectrum and walk subcommands all
-    reduce these payloads.
+    Each epsilon builds its propagator once and, when the spectrum or
+    walk task is on, propagates the whole basis once (basis_dynamics).
+    The epsilon = 0 reference is the sweep's own entry; it is built
+    separately only when 0 is not swept. run_ensemble and the
+    level-stats, spectrum and walk subcommands all reduce these payloads.
     """
     disorder = sample_disorder(spec.params, spec.seed, r)
     payload: dict = {"warnings": [], "notes": []}
@@ -213,15 +199,9 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
                 f"eps={eps:g} realization {r} {tag}: "
                 f"{spectrum.schur_fallbacks} spectrum blocks solved by Schur fallback"
             )
-    n = spec.params.n
-    sign_sum = spin_z_table(n).sum(axis=1)
 
-    need_ref_spectra = "spectrum" in spec.tasks
-    if need_ref_spectra:
-        params0 = replace(spec.params, epsilon=0.0)
-        U0 = drive_unitary(params0, disorder)
-        ref_V = dft_power(_batch_magnetization(U0.matrix, sign_sum, spec.periods))
-        ref_norm = np.linalg.norm(ref_V, axis=0)
+    n = spec.params.n
+    spectra: dict = {}  # epsilon -> power spectrum of every configuration
 
     for eps in spec.epsilons:
         params = replace(spec.params, epsilon=eps)
@@ -245,35 +225,33 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
 
         if "levelstats" in spec.tasks:
             sample = gap_ratios(spectrum.quasienergies)
-            payload.setdefault("levelstats", {})[key] = (
-                sample.ratios,
-                sample.excluded_degenerate,
-            )
+            payload.setdefault("levelstats", {})[key] = (sample.ratios, sample.excluded_degenerate)
 
-        if need_ref_spectra:
-            V = dft_power(_batch_magnetization(U.matrix, sign_sum, spec.periods))
+        if "walk" in spec.tasks and eps <= 0.0:
+            skipped = "walk task skipped: tunneling horizon diverges at epsilon = 0"
+            payload["warnings"].append({"epsilon": eps, "realization": r, "warnings": [skipped]})
+        horizon = walk_horizon_periods(params) if "walk" in spec.tasks and eps > 0.0 else None
+        periods = spec.periods if "spectrum" in spec.tasks else 0
+        if periods or horizon:
+            magnetization, prs = basis_dynamics(U, periods, horizon)
+            if periods:
+                spectra[eps] = dft_power(magnetization)
+            if horizon:
+                record = walk_populations(U, Configuration(index=2**n - 1, n=n), horizon)
+                payload.setdefault("walk", {})[key] = (prs, record.populations)
+
+    if "spectrum" in spec.tasks:
+        ref_V = spectra.get(0.0)
+        if ref_V is None:
+            U0 = drive_unitary(replace(spec.params, epsilon=0.0), disorder)
+            ref_V = dft_power(basis_dynamics(U0, spec.periods)[0])
+        ref_norm = np.linalg.norm(ref_V, axis=0)
+        for eps, V in spectra.items():
             norm = np.linalg.norm(V, axis=0)
             with np.errstate(invalid="ignore", divide="ignore"):
                 fidelity = np.sqrt(np.einsum("ki,ki->i", ref_V, V) / (ref_norm * norm))
             fidelity[(ref_norm < 1e-30) | (norm < 1e-30)] = np.nan
-            payload.setdefault("spectrum", {})[key] = np.minimum(fidelity, 1.0)
-
-        if "walk" in spec.tasks:
-            if eps <= 0.0:
-                payload["warnings"].append(
-                    {
-                        "epsilon": eps,
-                        "realization": r,
-                        "warnings": ["walk task skipped: tunneling horizon diverges at epsilon = 0"],
-                    }
-                )
-            else:
-                horizon = walk_horizon_periods(params)
-                record = walk_populations(U, Configuration(index=2**n - 1, n=n), horizon)
-                payload.setdefault("walk", {})[key] = (
-                    pr_distribution(params, disorder),
-                    record.populations,
-                )
+            payload.setdefault("spectrum", {})[eps_tag(eps)] = np.minimum(fidelity, 1.0)
     return payload
 
 

@@ -96,6 +96,12 @@ class TestValidation:
             ["ensemble"],  # --config required
             ["walk", "--n", "4", "--epsilon", "0.1", "--realizations", "5"],  # one realization
             ["walk", "--n", "4", "--epsilon", "0.1", "--periods", "3"],  # horizon sets the length
+            # each subcommand accepts only the flags it reads
+            ["graph", "--n", "4", "--epsilon", "0.1", "--periods", "9"],
+            ["graph", "--n", "4", "--epsilon", "0.1", "--realizations", "3"],
+            ["classical", "--n", "3", "--epsilon", "0.1"],
+            ["simulate", "--n", "3", "--epsilon", "0.1", "--format", "dot"],
+            ["level-stats", "--n", "3", "--epsilon", "0.1", "--periods", "4"],
         ],
     )
     def test_exits_1(self, argv, capsys, tmp_path):

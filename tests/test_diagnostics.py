@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import dtcnet.diagnostics
 from dtcnet import (
     Configuration,
     SpinChainParams,
@@ -19,8 +20,9 @@ from dtcnet import (
     walk_horizon_periods,
     walk_populations,
 )
-from dtcnet.diagnostics import PowerSpectrum
-from dtcnet.floquet_core import FloquetOperator, drive_unitary
+from dtcnet.diagnostics import PowerSpectrum, basis_dynamics
+from dtcnet.spin_hilbert import pauli_string, spin_z_table
+from dtcnet.floquet_core import FloquetOperator, drive_unitary, stroboscopic_evolve
 from invariants import (
     check_fidelity_symmetry_scale,
     check_gap_ratio_invariance,
@@ -129,6 +131,58 @@ class TestMagnetizationSeries:
 
     def test_dual_computation_agreement(self):
         check_magnetization_dual_paths()
+
+    def test_matches_dense_pauli_reference(self):
+        # the operator path used to contract with the dense sum of n sigma^z strings
+        for n in (2, 3, 5):
+            params = SpinChainParams(n=n, epsilon=0.07)
+            U = drive_unitary(params, sample_disorder(params, 241, 0))
+            initial = Configuration(index=2**n - 2, n=n)
+            states = stroboscopic_evolve(U, initial, 6)
+            sz_total = sum(pauli_string([(l, "z")], n).matrix for l in range(1, n + 1))
+            dense = np.real(np.einsum("mi,ij,mj->m", states.conj(), sz_total, states)) / n
+            assert np.abs(magnetization_series(U, initial, 6) - dense).max() < 1e-13
+
+    def test_cross_check_raises_on_convention_drift(self, monkeypatch):
+        # a population path with flipped spins must trip the cross-check
+        flipped = lambda n: -spin_z_table(n)
+        monkeypatch.setattr(dtcnet.diagnostics, "spin_z_table", flipped)
+        params = SpinChainParams(n=3, epsilon=0.07)
+        U = drive_unitary(params, sample_disorder(params, 23, 0))
+        with pytest.raises(RuntimeError, match="cross-check"):
+            magnetization_series(U, Configuration(index=6, n=3), 4)
+
+
+class TestBasisDynamics:
+    def test_columns_match_single_state_paths(self):
+        params = SpinChainParams(n=4, epsilon=0.05)
+        U = drive_unitary(params, sample_disorder(params, 301, 0))
+        magnetization, prs = basis_dynamics(U, 6, 9)
+        assert magnetization.shape == (7, 16) and prs.shape == (16,)
+        for index in (0, 5, 15):
+            initial = Configuration(index=index, n=4)
+            series = magnetization_series(U, initial, 6)
+            assert np.abs(magnetization[:, index] - series).max() < 1e-12
+            state = stroboscopic_evolve(U, initial, 9)[9]
+            assert prs[index] == pytest.approx(participation_ratio(state), rel=1e-12)
+
+    def test_horizon_past_periods(self):
+        params = SpinChainParams(n=3, epsilon=0.02)
+        U = drive_unitary(params, sample_disorder(params, 311, 0))
+        short, prs = basis_dynamics(U, 2, 12)
+        full, _ = basis_dynamics(U, 12)
+        assert np.array_equal(short, full[:3])
+        assert np.array_equal(prs, basis_dynamics(U, 0, 12)[1])
+
+    def test_no_horizon_no_prs(self):
+        magnetization, prs = basis_dynamics(_identity(8), 3)
+        assert prs is None
+        assert np.array_equal(magnetization, np.tile(spin_z_table(3).mean(axis=1), (4, 1)))
+
+    @pytest.mark.parametrize("periods, horizon", [(-1, None), (2, 0)])
+    def test_invalid_rejected(self, periods, horizon):
+        with pytest.raises(ValueError):
+            basis_dynamics(_identity(8), periods, horizon)
 
 
 class TestPowerSpectrum:

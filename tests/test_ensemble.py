@@ -4,6 +4,7 @@ import csv
 import json
 import tempfile
 import warnings
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import pytest
 
 import dtcnet
 import dtcnet.ensemble
-from dtcnet import EnsembleSpec, SpinChainParams, run_ensemble
+from dtcnet import EnsembleSpec, SpinChainParams, pr_distribution, run_ensemble, sample_disorder
+from dtcnet.ensemble import eps_tag, realization_outputs
 from invariants import (
     check_manifest_artifacts_parse,
     check_parallel_aggregate_equivalence,
@@ -210,6 +212,66 @@ class TestRunHygiene:
     def test_no_fallback_note_without_fallbacks(self, tmp_path):
         manifest = run_ensemble(_spec(epsilons=(0.1,)), out_dir=tmp_path)
         assert not any("Schur fallback" in note for note in manifest.notes)
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """Replace dtcnet.ensemble.<name> by a wrapper; returns its call arguments."""
+    calls = []
+    original = getattr(dtcnet.ensemble, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dtcnet.ensemble, name, wrapper)
+    return calls
+
+
+class TestOnePropagationPerEpsilon:
+    """Each epsilon's propagator is built once and the basis propagated once."""
+
+    @pytest.mark.parametrize(
+        "epsilons, tasks, built, propagated",
+        [
+            # epsilon = 0 is swept: it is also the spectrum reference
+            ((0.0, 0.012, 0.1), frozenset(dtcnet.TASKS), [0.0, 0.012, 0.1], 3),
+            # epsilon = 0 is not swept: one extra build and propagation
+            ((0.012, 0.1), frozenset({"spectrum", "walk"}), [0.0, 0.012, 0.1], 3),
+            # neither spectrum nor walk: no basis propagation at all
+            ((0.0, 0.1), frozenset({"graph", "levelstats"}), [0.0, 0.1], 0),
+        ],
+    )
+    def test_build_and_propagation_counts(self, monkeypatch, epsilons, tasks, built, propagated):
+        drives = _counted(monkeypatch, "drive_unitary")
+        propagations = _counted(monkeypatch, "basis_dynamics")
+        spec = _spec(params=SpinChainParams(n=4), epsilons=epsilons, tasks=tasks, periods=8)
+        realization_outputs(spec, 0)
+        assert sorted(params.epsilon for params, _ in drives) == built
+        assert len(propagations) == propagated
+
+    def test_fidelity_independent_of_zero_position(self):
+        def fidelity(epsilons):
+            spec = _spec(
+                params=SpinChainParams(n=4), epsilons=epsilons, tasks=frozenset({"spectrum"}), periods=8
+            )
+            return realization_outputs(spec, 0)["spectrum"]["0p012"]
+
+        alone = fidelity((0.012,))
+        for epsilons in ((0.0, 0.012), (0.012, 0.0)):
+            assert np.array_equal(fidelity(epsilons), alone, equal_nan=True)
+
+    @pytest.mark.parametrize("eps, periods", [(0.1, 8), (0.005, 64)])
+    def test_walk_prs_equal_pr_distribution(self, eps, periods):
+        # horizons 6 and 127: before and past the spectrum's last period
+        spec = _spec(
+            params=SpinChainParams(n=4),
+            epsilons=(0.0, eps),
+            tasks=frozenset({"spectrum", "walk"}),
+            periods=periods,
+        )
+        prs, _ = realization_outputs(spec, 0)["walk"][eps_tag(eps)]
+        params = replace(spec.params, epsilon=eps)
+        assert np.array_equal(prs, pr_distribution(params, sample_disorder(params, spec.seed, 0)))
 
 
 class TestReproducibility:
