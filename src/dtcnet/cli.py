@@ -20,9 +20,10 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .diagnostics import magnetization_series, power_spectrum, walk_horizon_periods
+from .diagnostics import power_spectrum, walk_horizon_periods
 from .ensemble import (
     EnsembleSpec,
+    check_size,
     eps_tag,
     format_float,
     realization_outputs,
@@ -43,7 +44,7 @@ from .floquet_core import (
 )
 from .netfit import poisson_fit
 from .percolation_graph import clusters, export_graph, export_nodes_csv, percolation_graph
-from .spin_hilbert import Configuration, SpinChainParams, sample_disorder
+from .spin_hilbert import SpinChainParams, sample_disorder
 
 __all__ = ["CliInvocation", "main"]
 
@@ -171,9 +172,15 @@ def _single_epsilon(raw) -> float:
 
 
 def _params_from(args, config: dict) -> SpinChainParams:
+    """Chain parameters, checked against the dense-matrix limit before any handler allocates.
+
+    Every subcommand that builds a chain reads them here, except ensemble,
+    whose run_ensemble makes the same check_size call.
+    """
     n = _resolve(args, config, "n", None)
     if n is None:
         raise CliError("--n is required")
+    check_size(int(n))
     try:
         return SpinChainParams(
             n=int(n),
@@ -340,15 +347,13 @@ def _cmd_spectrum(args, config: dict) -> int:
     periods = int(_resolve(args, config, "periods", 64))
     out = _out_dir(args, config)
 
-    # per-epsilon series and spectrum for the all-up initial configuration
-    initial = Configuration(index=2**params.n - 1, n=params.n)
-    disorder0 = _seeded_disorder(params, args, config)
+    realizations = int(_resolve(args, config, "realizations", 1))
+    payloads = _payloads(args, config, params, epsilons, "spectrum", realizations, periods)
+    # per-epsilon series and spectrum of the all-up configuration in realization 0
     for eps in epsilons:
-        swept = replace(params, epsilon=eps)
-        U = drive_unitary(swept, disorder0)
-        series = magnetization_series(U, initial, periods)
-        spec = power_spectrum(series, period=swept.period)
         tag = eps_tag(eps)
+        series = payloads[0]["magnetization"][tag]
+        spec = power_spectrum(series, period=params.period)
         write_csv(
             out / f"magnetization-eps{tag}.csv",
             "period,magnetization",
@@ -362,9 +367,6 @@ def _cmd_spectrum(args, config: dict) -> int:
                 for k, v in enumerate(spec.V)
             ),
         )
-
-    realizations = int(_resolve(args, config, "realizations", 1))
-    payloads = _payloads(args, config, params, epsilons, "spectrum", realizations, periods)
     write_fidelity_table(out / "fidelity.csv", payloads, epsilons)
     print(f"wrote magnetization, power-spectrum, and fidelity CSVs in {out}")
     return 0

@@ -273,7 +273,8 @@ def basis_dynamics(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Evolve every initial configuration at once by powering the propagator.
 
-    Starts from W = I and repeats W = U W up to max(periods, horizon).
+    Starts from W = I and repeats W = U W (FloquetOperator.apply, the
+    factored product for a drive propagator) up to max(periods, horizon).
     Returns (magnetization, prs): magnetization[m, i] is the per-site z
     magnetization at m = 0..periods of the state started in
     configuration i, and prs[i] its participation ratio 1 / sum |W|^4 at
@@ -288,7 +289,7 @@ def basis_dynamics(
     prs = None
     W = np.eye(U.dim, dtype=complex)
     for m in range(1, max(periods, horizon or 0) + 1):
-        W = U.matrix @ W
+        W = U.apply(W)
         if m <= periods:
             magnetization[m] = sign_sum @ (np.abs(W) ** 2) / n
         if m == horizon:

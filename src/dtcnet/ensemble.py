@@ -48,10 +48,11 @@ __all__ = [
     "run_ensemble",
     "TASKS",
     "MAX_SITES",
+    "check_size",
 ]
 
 TASKS = ("graph", "levelstats", "spectrum", "walk", "classical")
-MAX_SITES = 14
+MAX_SITES = 12
 DEFAULT_PERIODS = 64
 GAP_HISTOGRAM_BINS = 20
 
@@ -151,6 +152,24 @@ def _worker_count(notes: list[str]) -> int:
         return 1
 
 
+def check_size(n: int) -> None:
+    """Refuse a chain too large for the dense propagator and its spectrum.
+
+    A dense 2^n x 2^n complex matrix takes 16 * 4^n bytes, and the
+    spectrum path holds about 9 of them at its peak (U and U^2, the
+    eigensolver's work arrays, the eigenvectors and the effective
+    Hamiltonians; `dtcnet simulate` peaks 136 MB above its import
+    footprint at n = 10, i.e. 8.5 copies of 16 MB). That is about 2.4 GB
+    at n = MAX_SITES = 12 and 9.7 GB at n = 13. Raises ValueError with a
+    one-line message before anything is allocated.
+    """
+    if n > MAX_SITES:
+        raise ValueError(
+            f"n = {n} exceeds the dense-matrix limit {MAX_SITES}: the spectrum needs about "
+            f"9 x 16 * 4^n bytes = {9 * 16 * 4.0**n / 1e9:.1f} GB"
+        )
+
+
 def format_float(x: float) -> str:
     """The CSV rendering of every float output."""
     return f"{x:.12g}"
@@ -181,6 +200,8 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     - "levelstats": (gap ratios, count of excluded degenerate gaps);
     - "spectrum": per-configuration fidelity of the magnetization power
       spectrum against epsilon = 0, NaN where either spectrum vanishes;
+    - "magnetization" (with the spectrum task): the per-site
+      magnetization series of the all-up configuration, m = 0..periods;
     - "walk" (epsilon > 0 only): (participation ratio per configuration,
       walk populations from the all-up configuration).
 
@@ -236,6 +257,7 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
             magnetization, prs = basis_dynamics(U, periods, horizon)
             if periods:
                 spectra[eps] = dft_power(magnetization)
+                payload.setdefault("magnetization", {})[key] = magnetization[:, -1]
             if horizon:
                 record = walk_populations(U, Configuration(index=2**n - 1, n=n), horizon)
                 payload.setdefault("walk", {})[key] = (prs, record.populations)
@@ -262,8 +284,7 @@ def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
     onto a thread pool. Either way results are reduced in realization
     order, so aggregates do not depend on scheduling.
     """
-    if spec.params.n > MAX_SITES:
-        raise ValueError(f"n = {spec.params.n} exceeds the dense-matrix limit {MAX_SITES}")
+    check_size(spec.params.n)
     t_start = time.perf_counter()
     run_dir = _fresh_run_dir(Path(out_dir), spec.seed)
 

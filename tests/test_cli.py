@@ -22,11 +22,12 @@ import pytest
 from scipy.linalg import expm
 
 import dtcnet
+import dtcnet.ensemble
 from dtcnet import CliInvocation
 from dtcnet.cli import main
-from dtcnet.diagnostics import reference_pdf, walk_horizon_periods
+from dtcnet.diagnostics import magnetization_series, reference_pdf, walk_horizon_periods
 from dtcnet.semiclassical import ClassicalConfiguration, classical_energy
-from dtcnet.spin_hilbert import SpinChainParams
+from dtcnet.spin_hilbert import Configuration, SpinChainParams, sample_disorder
 from invariants import sample_discrete_powerlaw
 
 
@@ -127,6 +128,45 @@ class TestValidation:
         cfg.write_text(json.dumps({"params": {"n": 3}, "epsilons": [0.0]}))
         assert main(["ensemble", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestSizeLimit:
+    """Every subcommand that builds a chain refuses n > MAX_SITES before allocating."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--epsilon", "0.1"],
+            ["graph", "--epsilon", "0.1"],
+            ["level-stats", "--epsilon", "0.1"],
+            ["spectrum", "--epsilon", "0.1"],
+            ["walk", "--epsilon", "0.1"],
+            ["classical"],
+            ["ensemble"],
+        ],
+    )
+    def test_exits_1_without_building(self, argv, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a dense build was started")
+
+        for module in (dtcnet.cli, dtcnet.ensemble):
+            monkeypatch.setattr(module, "drive_unitary", forbidden)
+            monkeypatch.setattr(module, "write_classical_table", forbidden)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"params": {"n": 4}, "epsilons": [0.1], "realizations": 1, "seed": 0, "tasks": list(dtcnet.TASKS)}
+        ))
+        n = str(dtcnet.MAX_SITES + 1)
+        argv = argv + ["--n", n, "--config", str(cfg), "--out-dir", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: n = {n} exceeds the dense-matrix limit")
+        assert "\n" not in err
+
+    def test_limit_is_the_largest_allowed_size(self):
+        dtcnet.ensemble.check_size(dtcnet.MAX_SITES)
+        with pytest.raises(ValueError, match="dense-matrix limit"):
+            dtcnet.ensemble.check_size(dtcnet.MAX_SITES + 1)
 
 
 class TestIoFailures:
@@ -288,6 +328,30 @@ class TestSpectrumCommand:
         for _, _, value in fbody:
             f = float(value)
             assert math.isnan(f) or 0.0 <= f <= 1.0
+
+
+    def test_one_build_per_epsilon_and_realization(self, tmp_path, monkeypatch):
+        # the all-up series is read from realization 0's basis propagation,
+        # not from a second build of its propagator
+        builds = []
+        original = dtcnet.ensemble.drive_unitary
+
+        def counted(params, disorder):
+            builds.append((params.epsilon, tuple(disorder.fields)))
+            return original(params, disorder)
+
+        for module in (dtcnet.cli, dtcnet.ensemble):
+            monkeypatch.setattr(module, "drive_unitary", counted)
+        assert main(
+            ["spectrum", "--n", "4", "--epsilon", "0,0.012", "--periods", "8",
+             "--realizations", "2", "--seed", "5", "--out-dir", str(tmp_path)]
+        ) == 0
+        assert len(builds) == 4 and len(set(builds)) == 4
+        params = SpinChainParams(n=4, epsilon=0.012)
+        U = original(params, sample_disorder(params, 5, 0))
+        expected = magnetization_series(U, Configuration(index=15, n=4), 8)
+        _, body = _read_csv(tmp_path / "magnetization-eps0p012.csv")
+        assert np.abs(np.array([float(v) for _, v in body]) - expected).max() < 1e-11
 
 
 class TestWalkCommand:

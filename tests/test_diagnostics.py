@@ -184,6 +184,27 @@ class TestBasisDynamics:
         with pytest.raises(ValueError):
             basis_dynamics(_identity(8), periods, horizon)
 
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("eps", [0.0, 0.012, 0.1])
+    def test_factored_steps_match_dense_loop(self, n, eps):
+        # the dense loop basis_dynamics ran before it stepped by U.apply
+        params = SpinChainParams(n=n, epsilon=eps)
+        U = drive_unitary(params, sample_disorder(params, 321, 0))
+        periods, horizon = 64, walk_horizon_periods(params) if eps > 0 else 83
+        sign_sum = spin_z_table(n).sum(axis=1)
+        dense = np.empty((periods + 1, 2**n))
+        dense[0] = sign_sum / n
+        W = np.eye(2**n, dtype=complex)
+        for m in range(1, max(periods, horizon) + 1):
+            W = U.matrix @ W
+            if m <= periods:
+                dense[m] = sign_sum @ (np.abs(W) ** 2) / n
+            if m == horizon:
+                dense_prs = 1.0 / np.sum(np.abs(W) ** 4, axis=0)
+        magnetization, prs = basis_dynamics(U, periods, horizon)
+        assert np.abs(magnetization - dense).max() <= 5e-14
+        assert (np.abs(prs - dense_prs) / dense_prs).max() <= 1e-13
+
 
 class TestPowerSpectrum:
     def test_constant_series_peaks_at_zero(self):
@@ -266,6 +287,22 @@ class TestWalkPopulations:
         U = drive_unitary(params, sample_disorder(params, 261, 0))
         record = walk_populations(U, Configuration(index=31, n=5), 12)
         assert np.count_nonzero(record.populations[12] > 1e-3) > 4
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("eps", [0.012, 0.1])
+    def test_factored_steps_match_dense_loop(self, n, eps):
+        # the dense loop stroboscopic_evolve ran before it stepped by U.apply
+        params = SpinChainParams(n=n, epsilon=eps)
+        U = drive_unitary(params, sample_disorder(params, 271, 0))
+        horizon = walk_horizon_periods(params)
+        psi = np.zeros(2**n, dtype=complex)
+        psi[-1] = 1.0
+        dense = [np.abs(psi) ** 2]
+        for _ in range(horizon):
+            psi = U.matrix @ psi
+            dense.append(np.abs(psi) ** 2)
+        record = walk_populations(U, Configuration(index=2**n - 1, n=n), horizon)
+        assert np.abs(record.populations - np.array(dense)).max() <= 5e-14
 
 
 class TestParticipationRatio:

@@ -105,6 +105,61 @@ class TestFloquetOperator:
         check_propagator_unitarity()
 
 
+def _random_states(dim: int, columns: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(dim, columns)) + 1j * rng.normal(size=(dim, columns))
+
+
+class TestFactoredPropagator:
+    """U = diag(phase) R^(x n): the kept factors and FloquetOperator.apply."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_factors_rebuild_matrix_exactly(self, n):
+        params = SpinChainParams(n=n, epsilon=0.012)
+        U = drive_unitary(params, sample_disorder(params, 71, 0))
+        assert U.phase.shape == (2**n,) and U.rotation.shape == (2, 2)
+        tensor_power = np.array([[1.0 + 0.0j]])
+        for _ in range(n):
+            tensor_power = np.kron(tensor_power, U.rotation)
+        assert np.array_equal(U.phase[:, None] * tensor_power, U.matrix)
+
+    def test_reference_path_keeps_the_factors(self):
+        params = SpinChainParams(n=4, epsilon=0.05)
+        disorder = sample_disorder(params, 73, 0)
+        reference = floquet_operator(*build_drive(params, disorder), params)
+        U = drive_unitary(params, disorder)
+        assert np.array_equal(reference.phase, U.phase)
+        assert np.array_equal(reference.rotation, U.rotation)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("eps", [0.0, 0.012, 0.3])
+    def test_apply_matches_dense_product(self, n, eps):
+        params = SpinChainParams(n=n, epsilon=eps)
+        U = drive_unitary(params, sample_disorder(params, 79, 0))
+        block = _random_states(2**n, 5, n)
+        vector = block[:, 0].copy()
+        assert U.apply(vector).shape == vector.shape
+        assert np.abs(U.apply(vector) - U.matrix @ vector).max() < 1e-13
+        assert U.apply(block).shape == block.shape
+        assert np.abs(U.apply(block) - U.matrix @ block).max() < 1e-13
+
+    def test_squared_operator_takes_dense_path(self):
+        params = SpinChainParams(n=5, epsilon=0.04)
+        U2 = squared_floquet(drive_unitary(params, sample_disorder(params, 83, 0)))
+        assert U2.phase is None and U2.rotation is None
+        block = _random_states(32, 4, 1)
+        assert np.array_equal(U2.apply(block), U2.matrix @ block)
+        assert np.array_equal(U2.apply(block[:, 1]), U2.matrix @ block[:, 1])
+
+    def test_hand_made_operator_takes_dense_path(self):
+        q, _ = np.linalg.qr(_random_states(16, 16, 2))
+        op = FloquetOperator(matrix=q, period=2.0, params_hash="test")
+        block = _random_states(16, 3, 3)
+        assert np.array_equal(op.apply(block), q @ block)
+        states = stroboscopic_evolve(op, block[:, 0], 3)
+        assert np.array_equal(states[3], q @ (q @ (q @ block[:, 0])))
+
+
 class TestFloquetSpectrum:
     def test_identity_has_zero_quasienergies(self):
         spectrum = floquet_spectrum(_identity_floquet(8))
