@@ -58,7 +58,6 @@ from .percolation_graph import (
     PercolationGraph,
     TwoLevelResult,
     clusters,
-    degree_sequence,
     export_graph,
     export_nodes_csv,
     percolation_graph,

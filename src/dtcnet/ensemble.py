@@ -75,6 +75,11 @@ class EnsembleSpec:
             raise ValueError("epsilons must be nonempty")
         if any(e < 0 for e in self.epsilons):
             raise ValueError("epsilons must be >= 0")
+        tags = [eps_tag(e) for e in self.epsilons]
+        for tag in tags:
+            if tags.count(tag) > 1:
+                clash = [e for e, t in zip(self.epsilons, tags) if t == tag]
+                raise ValueError(f"epsilons {clash} share the output tag {tag!r}; their files would collide")
         unknown = set(self.tasks) - set(TASKS)
         if unknown:
             raise ValueError(f"unknown tasks {sorted(unknown)}; expected subset of {TASKS}")

@@ -17,8 +17,6 @@ from math import erfc, log, pi, sqrt
 import numpy as np
 from scipy.optimize import minimize
 
-from .percolation_graph import PercolationGraph
-
 __all__ = [
     "DegreeHistogram",
     "PowerLawFit",
@@ -285,9 +283,8 @@ def avg_degree_by_domain_walls(ensemble) -> dict[int, tuple[float, float]]:
 
     Parameters
     ----------
-    ensemble : sequence of PercolationGraph or (PercolationGraph, walls)
-        All graphs must share the node count; explicit wall labels
-        override the ones carried on the graph.
+    ensemble : sequence of PercolationGraph
+        All graphs must share the node count.
 
     Returns
     -------
@@ -296,16 +293,12 @@ def avg_degree_by_domain_walls(ensemble) -> dict[int, tuple[float, float]]:
     """
     pooled: dict[int, list[np.ndarray]] = {}
     num_nodes = None
-    for item in ensemble:
-        if isinstance(item, PercolationGraph):
-            graph, walls = item, item.domain_walls
-        else:
-            graph, walls = item
+    for graph in ensemble:
         if num_nodes is None:
             num_nodes = graph.num_nodes
         elif graph.num_nodes != num_nodes:
             raise ValueError("graphs in the ensemble differ in node count")
-        walls = np.asarray(walls)
+        walls = graph.domain_walls
         for w in np.unique(walls):
             pooled.setdefault(int(w), []).append(graph.degrees[walls == w])
     if num_nodes is None:

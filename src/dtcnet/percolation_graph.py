@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .floquet_core import EffectiveHamiltonian
 from .spin_hilbert import domain_wall_counts
@@ -24,7 +26,6 @@ __all__ = [
     "TwoLevelResult",
     "percolation_graph",
     "clusters",
-    "degree_sequence",
     "two_level_analysis",
     "export_graph",
     "export_nodes_csv",
@@ -38,31 +39,38 @@ EXPORT_FORMATS = ("dot", "graphml", "edge-csv")
 class PercolationGraph:
     """Graph over the 2^n configurations under the percolation rule.
 
-    edges holds unordered pairs as (i, j) tuples with i < j; margins
-    maps each active edge to |K_ij| - |E_i - E_j| > 0.
+    Active edge k joins rows[k] < cols[k]; the pairs are in lexicographic
+    order and slack[k] = |K_ij| - |E_i - E_j| > 0 is the edge's margin.
     """
 
     num_nodes: int
-    edges: frozenset[tuple[int, int]]
+    rows: np.ndarray
+    cols: np.ndarray
+    slack: np.ndarray
     domain_walls: np.ndarray
     degrees: np.ndarray
-    margins: dict[tuple[int, int], float]
 
     @property
-    def node_annotations(self) -> tuple[tuple[int, int], ...]:
-        """Per-node (domain_walls, degree) pairs in index order."""
-        return tuple(
-            (int(w), int(d)) for w, d in zip(self.domain_walls, self.degrees)
-        )
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Active edges as (i, j) tuples with i < j, built on each access."""
+        return frozenset(zip(self.rows.tolist(), self.cols.tolist()))
+
+    @property
+    def margins(self) -> dict[tuple[int, int], float]:
+        """Active edge (i, j) -> its margin, built on each access."""
+        return dict(zip(zip(self.rows.tolist(), self.cols.tolist()), self.slack.tolist()))
 
     def margin(self, i: int, j: int) -> float:
         """Percolation margin of an active edge; KeyError if inactive."""
-        return self.margins[(min(i, j), max(i, j))]
+        (hit,) = np.nonzero((self.rows == min(i, j)) & (self.cols == max(i, j)))
+        if hit.size == 0:
+            raise KeyError((min(i, j), max(i, j)))
+        return float(self.slack[hit[0]])
 
 
 @dataclass(frozen=True)
 class ClusterDecomposition:
-    """Connected components; sizes sorted descending."""
+    """Connected components; sizes sorted descending, ties by smallest node."""
 
     components: tuple[frozenset[int], ...]
     sizes: tuple[int, ...]
@@ -109,51 +117,28 @@ def percolation_graph(H: EffectiveHamiltonian) -> PercolationGraph:
     active = abs_k > np.triu(gap, k=1)
     np.fill_diagonal(active, False)
     rows, cols = np.nonzero(active)
-
-    edges = frozenset((int(i), int(j)) for i, j in zip(rows, cols))
-    margins = {
-        (int(i), int(j)): float(abs_k[i, j] - gap[i, j]) for i, j in zip(rows, cols)
-    }
-    degrees = np.zeros(dim, dtype=int)
-    np.add.at(degrees, rows, 1)
-    np.add.at(degrees, cols, 1)
     return PercolationGraph(
         num_nodes=dim,
-        edges=edges,
+        rows=rows,
+        cols=cols,
+        slack=abs_k[rows, cols] - gap[rows, cols],
         domain_walls=domain_wall_counts(n),
-        degrees=degrees,
-        margins=margins,
+        degrees=np.bincount(np.concatenate([rows, cols]), minlength=dim),
     )
 
 
 def clusters(g: PercolationGraph) -> ClusterDecomposition:
-    """Connected components by union-find; sizes sorted descending."""
-    parent = list(range(g.num_nodes))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in g.edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[int]] = {}
-    for node in range(g.num_nodes):
-        groups.setdefault(find(node), []).append(node)
-    components = sorted(groups.values(), key=lambda c: (-len(c), c[0]))
+    """Connected components by csgraph; sizes descending, ties by smallest node."""
+    adjacency = coo_matrix((np.ones(g.rows.size), (g.rows, g.cols)), shape=(g.num_nodes,) * 2)
+    _, labels = connected_components(adjacency, directed=False)
+    # csgraph numbers components in order of their smallest node, and
+    # list.sort is stable, so equal sizes keep that order
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    members.sort(key=len, reverse=True)
     return ClusterDecomposition(
-        components=tuple(frozenset(c) for c in components),
-        sizes=tuple(len(c) for c in components),
+        components=tuple(frozenset(m.tolist()) for m in members),
+        sizes=tuple(len(m) for m in members),
     )
-
-
-def degree_sequence(g: PercolationGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(degrees, domain_walls) vectors in node-index order."""
-    return g.degrees.copy(), g.domain_walls.copy()
 
 
 def two_level_analysis(E_i: float, E_j: float, K_ij: complex) -> TwoLevelResult:
@@ -173,10 +158,6 @@ def two_level_analysis(E_i: float, E_j: float, K_ij: complex) -> TwoLevelResult:
     )
 
 
-def _sorted_edges(g: PercolationGraph) -> list[tuple[int, int]]:
-    return sorted(g.edges)
-
-
 def export_graph(g: PercolationGraph, format: str) -> bytes:
     """Serialize the graph; nodes in index order, edges sorted.
 
@@ -190,7 +171,7 @@ def export_graph(g: PercolationGraph, format: str) -> bytes:
         return _to_graphml(g)
     if format == "edge-csv":
         lines = ["src,dst"]
-        lines += [f"{i},{j}" for i, j in _sorted_edges(g)]
+        lines += [f"{i},{j}" for i, j in zip(g.rows.tolist(), g.cols.tolist())]
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unsupported format {format!r}; expected one of {EXPORT_FORMATS}")
 
@@ -214,7 +195,7 @@ def _to_dot(g: PercolationGraph) -> bytes:
             f'  {i} [label="{format(i, f"0{width}b")}" domain_walls={int(g.domain_walls[i])}'
             f" degree={int(g.degrees[i])}];"
         )
-    for i, j in _sorted_edges(g):
+    for i, j in zip(g.rows.tolist(), g.cols.tolist()):
         out.append(f"  {i} -- {j};")
     out.append("}")
     return ("\n".join(out) + "\n").encode()
@@ -236,7 +217,7 @@ def _to_graphml(g: PercolationGraph) -> bytes:
         out.append(f'      <data key="domain_walls">{int(g.domain_walls[i])}</data>')
         out.append(f'      <data key="degree">{int(g.degrees[i])}</data>')
         out.append("    </node>")
-    for i, j in _sorted_edges(g):
+    for i, j in zip(g.rows.tolist(), g.cols.tolist()):
         out.append(f'    <edge source="n{i}" target="n{j}"/>')
     out += ["  </graph>", "</graphml>"]
     return ("\n".join(out) + "\n").encode()

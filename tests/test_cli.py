@@ -94,6 +94,8 @@ class TestValidation:
             ["graph", "--n", "4", "--epsilon", "0", "--format", "gexf"],
             ["walk", "--n", "4", "--epsilon", "0"],  # horizon diverges
             ["level-stats", "--n", "4", "--epsilon", "0.01", "--realizations", "0"],
+            ["level-stats", "--n", "4", "--epsilon", "0.1,0.1"],  # colliding output tags
+            ["spectrum", "--n", "4", "--epsilon", "0.01200001,0.01200002"],
             ["ensemble"],  # --config required
             ["walk", "--n", "4", "--epsilon", "0.1", "--realizations", "5"],  # one realization
             ["walk", "--n", "4", "--epsilon", "0.1", "--periods", "3"],  # horizon sets the length

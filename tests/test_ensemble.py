@@ -42,6 +42,9 @@ class TestEnsembleSpec:
             {"realizations": 0},
             {"epsilons": ()},
             {"epsilons": (0.01, -0.2)},
+            # distinct epsilons whose file tags collide, and a repeated one
+            {"epsilons": (0.01200001, 0.01200002)},
+            {"epsilons": (0.1, 0.05, 0.1)},
             {"tasks": frozenset({"graph", "bogus"})},
             {"periods": 1},
         ],

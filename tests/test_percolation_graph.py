@@ -1,12 +1,13 @@
 """Percolation rule, cluster decomposition, degree data, graph export."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from dtcnet import (
     SpinChainParams,
     clusters,
-    degree_sequence,
     effective_hamiltonian,
     export_graph,
     export_nodes_csv,
@@ -31,6 +32,97 @@ def _graph_from(diagonal, offdiag):
         H[i, j] = k
         H[j, i] = np.conj(k)
     return percolation_graph(EffectiveHamiltonian(matrix=H, period=2.0))
+
+
+def _reference_graph(matrix):
+    """The frozenset/dict construction the edge arrays replaced."""
+    energies = np.real(np.diag(matrix))
+    abs_k = np.abs(np.triu(matrix, k=1))
+    gap = np.abs(energies[:, None] - energies[None, :])
+    active = abs_k > np.triu(gap, k=1)
+    np.fill_diagonal(active, False)
+    rows, cols = np.nonzero(active)
+    edges = frozenset((int(i), int(j)) for i, j in zip(rows, cols))
+    margins = {(int(i), int(j)): float(abs_k[i, j] - gap[i, j]) for i, j in zip(rows, cols)}
+    degrees = np.zeros(len(energies), dtype=int)
+    np.add.at(degrees, rows, 1)
+    np.add.at(degrees, cols, 1)
+    return edges, margins, degrees
+
+
+def _reference_clusters(num_nodes, edges):
+    """The union-find the csgraph components replaced."""
+    parent = list(range(num_nodes))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for node in range(num_nodes):
+        groups.setdefault(find(node), []).append(node)
+    components = sorted(groups.values(), key=lambda c: (-len(c), c[0]))
+    return tuple(frozenset(c) for c in components), tuple(len(c) for c in components)
+
+
+def _random_hermitian(dim, scale, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.diag(rng.normal(size=dim)) + scale * (raw + raw.conj().T)
+
+
+def _realization_heff(n, eps, seed):
+    params = SpinChainParams(n=n, epsilon=eps)
+    return effective_hamiltonian(
+        floquet_spectrum(drive_unitary(params, sample_disorder(params, seed, 0)))
+    ).matrix
+
+
+class TestAgainstReference:
+    """Edge arrays and csgraph components reproduce the tuple-set graph exactly."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(partial(_random_hermitian, dim, scale, dim), id=f"random-{dim}-{scale}")
+            for dim in (2, 4, 8, 16, 32, 64)
+            for scale in (0.03, 0.3, 3.0)
+        ]
+        + [pytest.param(partial(_realization_heff, n, 0.0, 19), id=f"dimers-n{n}") for n in (4, 6, 8)]
+        + [pytest.param(partial(_realization_heff, 8, 0.1, 37), id="n8-eps0.1")],
+    )
+    def test_matches_reference(self, make):
+        matrix = make()
+        g = percolation_graph(EffectiveHamiltonian(matrix=matrix, period=2.0))
+        edges, margins, degrees = _reference_graph(matrix)
+        assert g.edges == edges
+        assert g.margins == margins  # exact: the arithmetic is unchanged
+        assert all(g.margin(j, i) == m for (i, j), m in margins.items())
+        np.testing.assert_array_equal(g.degrees, degrees)
+        assert list(zip(g.rows.tolist(), g.cols.tolist())) == sorted(edges)
+        assert g.slack.tolist() == [margins[e] for e in sorted(edges)]
+        decomposition = clusters(g)
+        assert (decomposition.components, decomposition.sizes) == _reference_clusters(
+            g.num_nodes, edges
+        )
+
+    def test_equal_sizes_ordered_by_smallest_node(self):
+        g = _graph_from([10.0 * k for k in range(8)], {(5, 6): 100.0, (0, 3): 100.0, (1, 2): 100.0})
+        decomposition = clusters(g)
+        assert decomposition.components == (
+            frozenset({0, 3}),
+            frozenset({1, 2}),
+            frozenset({5, 6}),
+            frozenset({4}),
+            frozenset({7}),
+        )
+        assert decomposition.sizes == (2, 2, 2, 1, 1)
 
 
 class TestPercolationRule:
@@ -128,19 +220,16 @@ class TestDegreeSequence:
                 floquet_spectrum(drive_unitary(params, sample_disorder(params, 57, 0)))
             )
         )
-        degrees, walls = degree_sequence(g)
-        assert np.all(degrees == 1)
-        assert walls.shape == degrees.shape
+        assert np.all(g.degrees == 1)
+        assert g.domain_walls.shape == g.degrees.shape
 
     def test_complete_graph_degrees(self):
         g = _graph_from([0.0, 0.0, 0.0, 0.0], {(i, j): 1.0 for i in range(4) for j in range(i + 1, 4)})
-        degrees, _ = degree_sequence(g)
-        assert np.all(degrees == 3)
+        assert np.all(g.degrees == 3)
 
     def test_wall_labels_match_configurations(self):
         g = _graph_from([0.0] * 8, {})
-        _, walls = degree_sequence(g)
-        assert list(walls) == [0, 1, 2, 1, 1, 2, 1, 0]  # n=3 wall counts
+        assert list(g.domain_walls) == [0, 1, 2, 1, 1, 2, 1, 0]  # n=3 wall counts
 
 
 class TestTwoLevelAnalysis:
