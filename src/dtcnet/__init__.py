@@ -9,7 +9,6 @@ spectra, quantum walks, classical stability) over disorder ensembles.
 
 __version__ = "0.1.0"
 
-from .cli import CliInvocation
 from .diagnostics import (
     GapRatioSample,
     PowerSpectrum,
@@ -40,6 +39,7 @@ from .floquet_core import (
     floquet_spectrum,
     squared_floquet,
     stroboscopic_evolve,
+    two_period_spectrum,
 )
 from .netfit import (
     DegreeHistogram,
@@ -87,3 +87,14 @@ from .spin_hilbert import (
     sample_disorder,
     spin_z_table,
 )
+
+
+def __getattr__(name: str):
+    # CliInvocation is read from .cli on first access: importing .cli
+    # here would load it before `python -m dtcnet.cli` runs it as
+    # __main__, which runpy reports with a RuntimeWarning
+    if name == "CliInvocation":
+        from .cli import CliInvocation
+
+        return CliInvocation
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,6 +24,7 @@ from .diagnostics import power_spectrum, walk_horizon_periods
 from .ensemble import (
     EnsembleSpec,
     check_size,
+    degree_fit,
     eps_tag,
     format_float,
     realization_outputs,
@@ -40,7 +41,7 @@ from .floquet_core import (
     effective_hamiltonian,
     drive_unitary,
     floquet_spectrum,
-    squared_floquet,
+    two_period_spectrum,
 )
 from .netfit import poisson_fit
 from .percolation_graph import clusters, export_graph, export_nodes_csv, percolation_graph
@@ -195,6 +196,7 @@ def _params_from(args, config: dict) -> SpinChainParams:
 
 
 def _out_dir(args, config: dict) -> Path:
+    """The output directory, created; handlers call it once their inputs are validated."""
     out = Path(_resolve(args, config, "out_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -215,7 +217,7 @@ def _cmd_simulate(args, config: dict) -> int:
     U = drive_unitary(params, disorder)
     spectrum = floquet_spectrum(U)
     heff_T = effective_hamiltonian(spectrum)
-    spectrum_2T = floquet_spectrum(squared_floquet(U))
+    spectrum_2T = two_period_spectrum(U, spectrum)
     heff_2T = effective_hamiltonian(spectrum_2T)
     bch = bch_effective_2T(params, disorder)
 
@@ -246,8 +248,10 @@ def _cmd_graph(args, config: dict) -> int:
     eps = _single_epsilon(_resolve(args, config, "epsilon", None))
     params = replace(params, epsilon=eps)
     disorder = _seeded_disorder(params, args, config)
-    out = _out_dir(args, config)
     fmt = _resolve(args, config, "format", "csv")
+    if fmt not in _FLAGS["format"]["choices"]:
+        raise CliError(f"unsupported format {fmt!r}; expected one of {_FLAGS['format']['choices']}")
+    out = _out_dir(args, config)
 
     graph = percolation_graph(
         effective_hamiltonian(floquet_spectrum(drive_unitary(params, disorder)))
@@ -295,15 +299,16 @@ def _read_degree_column(path: Path) -> np.ndarray:
 
 def _cmd_degree_fit(args, config: dict) -> int:
     degrees = _read_degree_column(Path(args.degree_csv))
-    out = _out_dir(args, config)
     eps_raw = _resolve(args, config, "epsilon", None)
     eps = _single_epsilon(eps_raw) if eps_raw is not None else float("nan")
-    n = _resolve(args, config, "n", 0)
+    n = int(_resolve(args, config, "n", 0))
 
     try:
-        fit, verdict = write_degree_fit(out / "degree-fit.csv", eps, int(n), degrees)
+        fit, verdict = degree_fit(degrees)
     except ValueError as exc:
         raise CliError(f"degree fit failed: {exc}")
+    out = _out_dir(args, config)
+    write_degree_fit(out / "degree-fit.csv", eps, n, fit, verdict)
     lam = poisson_fit(degrees)
     write_csv(out / "poisson-fit.csv", "lambda", [(format_float(lam),)])
     print(
@@ -313,9 +318,9 @@ def _cmd_degree_fit(args, config: dict) -> int:
     return 0
 
 
-def _payloads(args, config: dict, params, epsilons, task: str, realizations: int, periods=64):
-    """realization_outputs of one task for realizations 0..realizations-1 of --seed."""
-    spec = EnsembleSpec(
+def _spec(args, config: dict, params, epsilons, task: str, realizations: int, periods=64) -> EnsembleSpec:
+    """One task over realizations 0..realizations-1 of --seed; raises ValueError on bad settings."""
+    return EnsembleSpec(
         params=params,
         epsilons=tuple(epsilons),
         realizations=realizations,
@@ -323,16 +328,20 @@ def _payloads(args, config: dict, params, epsilons, task: str, realizations: int
         tasks=frozenset({task}),
         periods=periods,
     )
-    return [realization_outputs(spec, r) for r in range(realizations)]
+
+
+def _payloads(spec: EnsembleSpec) -> list[dict]:
+    return [realization_outputs(spec, r) for r in range(spec.realizations)]
 
 
 def _cmd_level_stats(args, config: dict) -> int:
     params = _params_from(args, config)
     epsilons = _parse_epsilons(_resolve(args, config, "epsilon", None))
+    realizations = int(_resolve(args, config, "realizations", 1))
+    spec = _spec(args, config, params, epsilons, "levelstats", realizations)
     out = _out_dir(args, config)
 
-    realizations = int(_resolve(args, config, "realizations", 1))
-    payloads = _payloads(args, config, params, epsilons, "levelstats", realizations)
+    payloads = _payloads(spec)
     for eps in epsilons:
         tag = eps_tag(eps)
         ratios = np.concatenate([p["levelstats"][tag][0] for p in payloads])
@@ -345,10 +354,11 @@ def _cmd_spectrum(args, config: dict) -> int:
     params = _params_from(args, config)
     epsilons = _parse_epsilons(_resolve(args, config, "epsilon", None))
     periods = int(_resolve(args, config, "periods", 64))
+    realizations = int(_resolve(args, config, "realizations", 1))
+    spec = _spec(args, config, params, epsilons, "spectrum", realizations, periods)
     out = _out_dir(args, config)
 
-    realizations = int(_resolve(args, config, "realizations", 1))
-    payloads = _payloads(args, config, params, epsilons, "spectrum", realizations, periods)
+    payloads = _payloads(spec)
     # per-epsilon series and spectrum of the all-up configuration in realization 0
     for eps in epsilons:
         tag = eps_tag(eps)
@@ -378,10 +388,11 @@ def _cmd_walk(args, config: dict) -> int:
     if eps <= 0:
         raise CliError("walk requires epsilon > 0 (tunneling horizon diverges at 0)")
     params = replace(params, epsilon=eps)
+    spec = _spec(args, config, params, (eps,), "walk", 1)
     out = _out_dir(args, config)
 
     tag = eps_tag(eps)
-    (payload,) = _payloads(args, config, params, (eps,), "walk", 1)
+    (payload,) = _payloads(spec)
     write_walk_tables(out, f"eps{tag}", *payload["walk"][tag])
     horizon = walk_horizon_periods(params)
     print(f"wrote walk-eps{tag}.csv and pr-eps{tag}.csv in {out} (horizon {horizon} periods)")

@@ -30,12 +30,7 @@ from .diagnostics import (
     walk_horizon_periods,
     walk_populations,
 )
-from .floquet_core import (
-    effective_hamiltonian,
-    drive_unitary,
-    floquet_spectrum,
-    squared_floquet,
-)
+from .floquet_core import effective_hamiltonian, drive_unitary, floquet_spectrum, two_period_spectrum
 from .netfit import avg_degree_by_domain_walls, kmin_scan, lognormal_lr_test, log_binned_histogram
 from .percolation_graph import percolation_graph
 from .semiclassical import ClassicalConfiguration, classical_energy, classify_fixed_point, jacobian
@@ -244,7 +239,7 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
 
         if "graph" in spec.tasks:
             graph_T = percolation_graph(effective_hamiltonian(spectrum))
-            spectrum_2T = floquet_spectrum(squared_floquet(U))
+            spectrum_2T = two_period_spectrum(U, spectrum)
             note_fallbacks(spectrum_2T, eps, "2T")
             graph_2T = percolation_graph(effective_hamiltonian(spectrum_2T))
             payload.setdefault("graph", {})[key] = (graph_T, graph_2T)
@@ -406,22 +401,27 @@ def _write_fit_outputs(run_dir: Path, tag: str, eps: float, n: int, degrees, rec
             ),
         )
         record("graph", path)
-    path = run_dir / f"degree-fit-{tag}.csv"
     try:
-        write_degree_fit(path, eps, n, degrees)
-        record("graph", path)
+        fit, verdict = degree_fit(degrees)
     except ValueError as exc:
         notes.append(f"degree-fit skipped ({tag}): {exc}")
+    else:
+        path = run_dir / f"degree-fit-{tag}.csv"
+        write_degree_fit(path, eps, n, fit, verdict)
+        record("graph", path)
 
 
-def write_degree_fit(path: Path, eps: float, n: int, degrees):
-    """Fit a power-law tail, test it against a lognormal, write the one-row table.
+def degree_fit(degrees):
+    """Power-law tail fit and its lognormal comparison, as (fit, verdict).
 
-    Returns (fit, verdict); raises ValueError, writing nothing, when the
-    sample cannot be fitted.
+    Raises ValueError when the sample cannot be fitted.
     """
     fit = kmin_scan(degrees)
-    verdict = lognormal_lr_test(degrees, fit)
+    return fit, lognormal_lr_test(degrees, fit)
+
+
+def write_degree_fit(path: Path, eps: float, n: int, fit, verdict) -> None:
+    """The one-row table of a degree_fit result."""
     row = (
         format_float(eps),
         n,
@@ -432,7 +432,6 @@ def write_degree_fit(path: Path, eps: float, n: int, degrees):
         verdict.favored,
     )
     write_csv(path, "epsilon,n,beta,k_min,ks,n_tail,favored", [row])
-    return fit, verdict
 
 
 def write_gap_ratio_table(path: Path, ratios: np.ndarray) -> None:

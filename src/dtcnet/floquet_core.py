@@ -34,6 +34,7 @@ __all__ = [
     "drive_unitary",
     "squared_floquet",
     "floquet_spectrum",
+    "two_period_spectrum",
     "effective_hamiltonian",
     "bch_effective_2T",
     "stroboscopic_evolve",
@@ -119,7 +120,9 @@ class FloquetSpectrum:
     branch_warnings lists eigenphases that sit within BRANCH_MARGIN of
     the +-pi cut, where the fold direction is not numerically robust.
     schur_fallbacks counts the blocks whose eigensolve failed its
-    residual or orthonormality gate and were solved by Schur instead.
+    residual or orthonormality gate and were solved by Schur instead;
+    a two_period_spectrum that reuses U's eigenpairs has U's blocks and
+    U's count.
     """
 
     quasienergies: np.ndarray
@@ -255,8 +258,7 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
     dim = U.shape[0]
     if U.shape != (dim, dim):
         raise ValueError("propagator must be square")
-    support = csr_matrix(np.abs(U) > SUPPORT_TOL)
-    n_comp, labels = connected_components(support, directed=False)
+    n_comp, labels = _support_components(U)
     fallbacks = 0
     if n_comp == 1:
         eigenvalues, states, fell_back = _block_eigensystem(U)
@@ -272,9 +274,44 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
             states[idx, col : col + idx.size] = z
             fallbacks += fell_back
             col += idx.size
+    return _sorted_spectrum(eigenvalues, states, op.period, fallbacks)
 
-    cut = np.pi / op.period
-    lam = -np.angle(eigenvalues) / op.period
+
+def two_period_spectrum(op: FloquetOperator, spectrum: FloquetSpectrum) -> FloquetSpectrum:
+    """Spectrum of U^2 (period 2T) from U's solved spectrum.
+
+    U's eigenvectors diagonalize U^2 with eigenvalues mu^2, so they are
+    reused, and nothing is solved, when U and U^2 split into the same
+    support blocks. Where U^2 decouples further (at epsilon = 0 it is
+    diagonal while U has dimer blocks), U's vectors would mix blocks
+    that floquet_spectrum keeps exactly apart, and U^2 is solved on its
+    own blocks instead. spectrum must be floquet_spectrum(op).
+    """
+    if spectrum.states.shape[0] != op.dim or spectrum.period != op.period:
+        raise ValueError("spectrum does not belong to this propagator")
+    squared = squared_floquet(op)
+    if not np.array_equal(_support_components(op.matrix)[1], _support_components(squared.matrix)[1]):
+        return floquet_spectrum(squared)
+    return _sorted_spectrum(
+        spectrum.eigenvalues**2, spectrum.states, squared.period, spectrum.schur_fallbacks
+    )
+
+
+def _support_components(U: np.ndarray) -> tuple[int, np.ndarray]:
+    """Connected components of |U_ij| > SUPPORT_TOL, numbered by smallest node."""
+    return connected_components(csr_matrix(np.abs(U) > SUPPORT_TOL), directed=False)
+
+
+def _sorted_spectrum(
+    eigenvalues: np.ndarray, states: np.ndarray, period: float, fallbacks: int
+) -> FloquetSpectrum:
+    """Quasienergies -arg(mu)/period, folded, flagged near the cut and sorted.
+
+    The columns of states are reordered into a new array; the caller's
+    array is left as it is.
+    """
+    cut = np.pi / period
+    lam = -np.angle(eigenvalues) / period
     # np.angle lands in (-pi, pi]; fold the single boundary case onto +cut
     lam = np.where(lam <= -cut, lam + 2.0 * cut, lam)
 
@@ -286,14 +323,13 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
 
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
-    eigenvalues = eigenvalues[order]
     states = states[:, order]
     _reorthonormalize_clusters(lam, states)
     return FloquetSpectrum(
         quasienergies=lam,
         states=states,
-        eigenvalues=eigenvalues,
-        period=op.period,
+        eigenvalues=eigenvalues[order],
+        period=period,
         branch_warnings=warnings,
         schur_fallbacks=fallbacks,
     )

@@ -108,10 +108,21 @@ class TestValidation:
         ],
     )
     def test_exits_1(self, argv, capsys, tmp_path):
-        assert main(argv + ["--out-dir", str(tmp_path)]) == 1
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:")
         assert "\n" not in err
+        assert not out.exists()  # a rejected run creates no output directory
+
+    def test_config_format_rejected_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "gexf"}))
+        out = tmp_path / "out"
+        argv = ["graph", "--n", "4", "--epsilon", "0.1", "--config", str(cfg), "--out-dir", str(out)]
+        assert main(argv) == 1
+        assert "unsupported format 'gexf'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_invalid_json_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -488,8 +499,10 @@ class TestDegreeFitCommand:
     def test_constant_degrees_exit_1(self, tmp_path, capsys):
         src = tmp_path / "degrees.csv"
         self._write_degrees(src, [3] * 50)
-        assert main(["degree-fit", str(src), "--out-dir", str(tmp_path)]) == 1
+        out = tmp_path / "out"
+        assert main(["degree-fit", str(src), "--out-dir", str(out)]) == 1
         assert "degree fit failed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _console_script(argv):
@@ -520,6 +533,21 @@ class TestConsoleScript:
     def test_entry_point_installed_and_runs(self, tmp_path):
         proc = _console_script(["classical", "--n", "2", "--out-dir", str(tmp_path)])
         assert proc.returncode == 0
+        assert (tmp_path / "classical.csv").exists()
+
+    def test_module_run_is_warning_free(self, tmp_path):
+        # `python -m dtcnet.cli` must not find dtcnet.cli already imported
+        # by the package, which runpy reports with a RuntimeWarning
+        env = dict(os.environ)
+        package_root = str(Path(dtcnet.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "dtcnet.cli",
+             "classical", "--n", "3", "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
         assert (tmp_path / "classical.csv").exists()
 
     def test_entry_point_propagates_validation_exit(self):

@@ -277,6 +277,43 @@ class TestOnePropagationPerEpsilon:
         assert np.array_equal(prs, pr_distribution(params, sample_disorder(params, spec.seed, 0)))
 
 
+class TestTwoPeriodGraph:
+    """The 2T graph reuses U's eigenpairs; only epsilon = 0 solves U^2."""
+
+    def test_squared_propagator_solved_only_at_zero_error(self, monkeypatch):
+        # floquet_spectrum is looked up in ensemble (the T solve) and in
+        # floquet_core (two_period_spectrum's fallback): count both
+        solved = []
+        original = dtcnet.floquet_core.floquet_spectrum
+
+        def counted(op):
+            solved.append(op)
+            return original(op)
+
+        monkeypatch.setattr(dtcnet.ensemble, "floquet_spectrum", counted)
+        monkeypatch.setattr(dtcnet.floquet_core, "floquet_spectrum", counted)
+        spec = _spec(params=SpinChainParams(n=6), epsilons=(0.0, 0.012, 0.1), realizations=2)
+        zero = replace(spec.params, epsilon=0.0)
+        for r in range(spec.realizations):
+            solved.clear()
+            realization_outputs(spec, r)
+            assert len(solved) == 4
+            squared = [op for op in solved if op.period == 2.0 * spec.params.period]
+            U0 = dtcnet.drive_unitary(zero, sample_disorder(zero, spec.seed, r))
+            assert [op.params_hash for op in squared] == [U0.params_hash]
+
+    def test_graphs_match_fresh_squared_solve(self):
+        spec = _spec(params=SpinChainParams(n=6), epsilons=(0.0, 0.012, 0.1), realizations=2)
+        for r in range(spec.realizations):
+            graphs = realization_outputs(spec, r)["graph"]
+            for eps in spec.epsilons:
+                params = replace(spec.params, epsilon=eps)
+                U = dtcnet.drive_unitary(params, sample_disorder(params, spec.seed, r))
+                fresh = dtcnet.effective_hamiltonian(dtcnet.floquet_spectrum(dtcnet.squared_floquet(U)))
+                graph_2T = graphs[eps_tag(eps)][1]
+                assert graph_2T.edges == dtcnet.percolation_graph(fresh).edges
+
+
 class TestReproducibility:
     def test_serial_rerun_bit_identical(self):
         check_rerun_reproducibility_serial()

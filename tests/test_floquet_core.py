@@ -22,6 +22,7 @@ from dtcnet import (
     sample_disorder,
     squared_floquet,
     stroboscopic_evolve,
+    two_period_spectrum,
 )
 from dtcnet import floquet_core
 from dtcnet.floquet_core import FloquetOperator, FloquetSpectrum, drive_unitary
@@ -364,6 +365,93 @@ class TestSquaredFloquet:
         folded = (lam + edge) % (2.0 * edge) - edge
         folded[folded == -edge] = edge  # window is half-open on the left
         assert np.allclose(np.sort(folded), np.sort(doubled), atol=1e-10)
+
+
+def _fresh_two_period(op: FloquetOperator) -> FloquetSpectrum:
+    """The reference 2T spectrum: a block solve of U^2 from scratch."""
+    return floquet_spectrum(squared_floquet(op))
+
+
+class TestTwoPeriodSpectrum:
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("eps", [0.0, 0.005, 0.012, 0.1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_fresh_solve(self, n, eps, seed):
+        params = SpinChainParams(n=n, epsilon=eps)
+        op = drive_unitary(params, sample_disorder(params, seed, 0))
+        spectrum = two_period_spectrum(op, floquet_spectrum(op))
+        reference = _fresh_two_period(op)
+        assert spectrum.period == reference.period == 2.0 * op.period
+        assert np.abs(spectrum.quasienergies - reference.quasienergies).max() < 1e-13
+        H = effective_hamiltonian(spectrum)
+        H_ref = effective_hamiltonian(reference)
+        assert np.abs(H.matrix - H_ref.matrix).max() < 1e-12
+        assert percolation_graph(H).edges == percolation_graph(H_ref).edges
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_zero_error_takes_the_fresh_solve(self, n):
+        # U has dimer blocks and U^2 is diagonal: the partitions differ,
+        # so U^2 is solved on its own 1x1 blocks, bit for bit as before
+        params = SpinChainParams(n=n, epsilon=0.0)
+        op = drive_unitary(params, sample_disorder(params, 5, 0))
+        spectrum = two_period_spectrum(op, floquet_spectrum(op))
+        reference = _fresh_two_period(op)
+        assert np.array_equal(spectrum.quasienergies, reference.quasienergies)
+        assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
+        assert np.array_equal(spectrum.states, reference.states)
+        assert spectrum.branch_warnings == reference.branch_warnings
+        H = effective_hamiltonian(spectrum).matrix
+        assert np.count_nonzero(H - np.diag(H.diagonal())) == 0  # no couplings, hence no edges
+
+    def test_matching_blocks_reuse_the_eigenpairs(self, monkeypatch):
+        params = SpinChainParams(n=6, epsilon=0.012)
+        op = drive_unitary(params, sample_disorder(params, 3, 0))
+        spectrum = floquet_spectrum(op)
+        states = spectrum.states.copy()
+        solves = []
+        real_block = floquet_core._block_eigensystem
+        monkeypatch.setattr(
+            floquet_core, "_block_eigensystem", lambda B: solves.append(B.shape) or real_block(B)
+        )
+        doubled = two_period_spectrum(op, spectrum)
+        assert solves == []
+        assert doubled.schur_fallbacks == 0
+        assert np.array_equal(spectrum.states, states)  # the input is left as it was
+        mu = np.exp(-1j * doubled.quasienergies * doubled.period)
+        V = doubled.states
+        assert np.abs(squared_floquet(op).matrix @ V - V * mu).max() < 1e-13
+
+    def test_branch_warnings_match_fresh_solve(self):
+        # U eigenphases within BRANCH_MARGIN of +-pi/2 double onto the cut
+        near = 0.5 * np.pi - 0.02 * floquet_core.BRANCH_MARGIN
+        phases = np.array([near, -near, 0.3, -1.1, 2.0, -2.6, 1.3, 0.9])
+        op = FloquetOperator(
+            matrix=_random_unitary(phases.size, phases, 11), period=1.0, params_hash="test"
+        )
+        spectrum = floquet_spectrum(op)
+        assert spectrum.branch_warnings == ()
+        doubled = two_period_spectrum(op, spectrum)
+        reference = _fresh_two_period(op)
+        assert len(reference.branch_warnings) == 2
+        assert sorted(doubled.branch_warnings) == sorted(reference.branch_warnings)
+        assert np.abs(doubled.quasienergies - reference.quasienergies).max() < 1e-13
+
+    def test_fallback_count_carries_over(self, skewed_eigh):
+        # the blocks of U^2 are U's, and so are the Schur-solved eigenpairs
+        params = SpinChainParams(n=4, epsilon=0.1)
+        op = drive_unitary(params, sample_disorder(params, 9, 0))
+        spectrum = floquet_spectrum(op)
+        assert spectrum.schur_fallbacks == 1
+        assert two_period_spectrum(op, spectrum).schur_fallbacks == 1
+
+    def test_foreign_spectrum_rejected(self):
+        params = SpinChainParams(n=4, epsilon=0.1)
+        op = drive_unitary(params, sample_disorder(params, 9, 0))
+        doubled = squared_floquet(op)
+        with pytest.raises(ValueError, match="does not belong"):
+            two_period_spectrum(op, floquet_spectrum(doubled))
+        with pytest.raises(ValueError, match="does not belong"):
+            two_period_spectrum(op, floquet_spectrum(_identity_floquet(4, period=op.period)))
 
 
 class TestDriveUnitary:
