@@ -2,7 +2,8 @@
 
 Every subcommand resolves its settings with the same precedence: an
 explicit flag wins over the --config JSON file, which wins over the
-built-in defaults (J0 = 0.06, alpha = 1.51, W = pi, T1 = T2 = 1).
+built-in defaults; chain settings left unset take the SpinChainParams
+defaults.
 Validation problems exit with status 1 and a single-line diagnostic;
 I/O problems exit with status 2.
 """
@@ -14,7 +15,6 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field, replace
-from math import pi
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -22,6 +22,7 @@ import numpy as np
 
 from .diagnostics import power_spectrum, walk_horizon_periods
 from .ensemble import (
+    DEFAULT_PERIODS,
     EnsembleSpec,
     check_size,
     degree_fit,
@@ -95,32 +96,14 @@ _FLAGS = {
     "format": dict(type=str, choices=("csv", "dot", "graphml"), help="graph export format"),
     "config": dict(type=str, help="JSON config file"),
 }
-_CHAIN = ("n", "t1", "t2", "j0", "alpha", "disorder-w")
-
-# subcommand -> (description, the flags its handler reads); any other
-# flag is a parse error, while config-file keys are never checked
-_SUBCOMMANDS = {
-    "simulate": ("write the propagator, effective Hamiltonians, and quasienergies",
-                 (*_CHAIN, "epsilon", "seed", "out-dir")),
-    "graph": ("build and export the percolation graph",
-              (*_CHAIN, "epsilon", "seed", "out-dir", "format")),
-    "degree-fit": ("power-law / lognormal / Poisson fits of a degree CSV", ("n", "epsilon", "out-dir")),
-    "level-stats": ("pooled gap-ratio histogram with reference overlays",
-                    (*_CHAIN, "epsilon", "seed", "realizations", "out-dir")),
-    "spectrum": ("magnetization series, power spectra, fidelity grid",
-                 (*_CHAIN, "epsilon", "seed", "realizations", "periods", "out-dir")),
-    "walk": ("quantum-walk populations and participation ratios",
-             (*_CHAIN, "epsilon", "seed", "out-dir")),
-    "classical": ("fixed-point stability sweep over corner configurations", (*_CHAIN, "out-dir")),
-    "ensemble": ("run a JSON-configured disorder ensemble",
-                 (*_CHAIN, "epsilon", "seed", "realizations", "periods", "out-dir")),
-}
+# chain flag -> SpinChainParams field; the config file and args use the flag with "_" for "-"
+_CHAIN = {"n": "n", "t1": "T1", "t2": "T2", "j0": "J0", "alpha": "alpha", "disorder-w": "W"}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dtcnet", description="driven spin chains as configuration-space graphs")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
-    for name, (description, flags) in _SUBCOMMANDS.items():
+    for name, (_, description, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=description, description=description)
         for flag in (*flags, "config"):
             p.add_argument(f"--{flag}", default=None, **_FLAGS[flag])
@@ -133,7 +116,10 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"invalid JSON config {path}: {exc}")
     if not isinstance(payload, dict):
         raise CliError(f"config {path} must hold a JSON object")
     return payload
@@ -178,19 +164,15 @@ def _params_from(args, config: dict) -> SpinChainParams:
     Every subcommand that builds a chain reads them here, except ensemble,
     whose run_ensemble makes the same check_size call.
     """
-    n = _resolve(args, config, "n", None)
-    if n is None:
+    given = {flag: _resolve(args, config, flag.replace("-", "_"), None) for flag in _CHAIN}
+    if given["n"] is None:
         raise CliError("--n is required")
-    check_size(int(n))
+    check_size(int(given["n"]))
     try:
-        return SpinChainParams(
-            n=int(n),
-            J0=float(_resolve(args, config, "j0", 0.06)),
-            alpha=float(_resolve(args, config, "alpha", 1.51)),
-            W=float(_resolve(args, config, "disorder_w", pi)),
-            T1=float(_resolve(args, config, "t1", 1.0)),
-            T2=float(_resolve(args, config, "t2", 1.0)),
-        )
+        # only the settings given; the rest take the SpinChainParams defaults
+        return SpinChainParams(**{
+            _CHAIN[flag]: _FLAGS[flag]["type"](value) for flag, value in given.items() if value is not None
+        })
     except ValueError as exc:
         raise CliError(str(exc))
 
@@ -318,7 +300,8 @@ def _cmd_degree_fit(args, config: dict) -> int:
     return 0
 
 
-def _spec(args, config: dict, params, epsilons, task: str, realizations: int, periods=64) -> EnsembleSpec:
+def _spec(args, config: dict, params, epsilons, task: str, realizations: int,
+          periods=DEFAULT_PERIODS) -> EnsembleSpec:
     """One task over realizations 0..realizations-1 of --seed; raises ValueError on bad settings."""
     return EnsembleSpec(
         params=params,
@@ -346,14 +329,17 @@ def _cmd_level_stats(args, config: dict) -> int:
         tag = eps_tag(eps)
         ratios = np.concatenate([p["levelstats"][tag][0] for p in payloads])
         write_gap_ratio_table(out / f"gap-ratios-eps{tag}.csv", ratios)
-        print(f"eps={eps:g}: mean gap ratio {ratios.mean():.4f} over {ratios.size} ratios")
+        if ratios.size:
+            print(f"eps={eps:g}: mean gap ratio {ratios.mean():.4f} over {ratios.size} ratios")
+        else:
+            print(f"eps={eps:g}: no gap ratios remain")
     return 0
 
 
 def _cmd_spectrum(args, config: dict) -> int:
     params = _params_from(args, config)
     epsilons = _parse_epsilons(_resolve(args, config, "epsilon", None))
-    periods = int(_resolve(args, config, "periods", 64))
+    periods = int(_resolve(args, config, "periods", DEFAULT_PERIODS))
     realizations = int(_resolve(args, config, "realizations", 1))
     spec = _spec(args, config, params, epsilons, "spectrum", realizations, periods)
     out = _out_dir(args, config)
@@ -412,10 +398,10 @@ def _cmd_ensemble(args, config: dict) -> int:
         raise CliError("ensemble requires --config with an EnsembleSpec JSON object")
     payload = dict(config)
     payload.setdefault("params", {})
-    params_keys = {"n": "n", "j0": "J0", "alpha": "alpha", "disorder_w": "W", "t1": "T1", "t2": "T2"}
-    for flag, key in params_keys.items():
-        if getattr(args, flag) is not None:
-            payload["params"][key] = getattr(args, flag)
+    for flag, name in _CHAIN.items():
+        value = getattr(args, flag.replace("-", "_"))
+        if value is not None:
+            payload["params"][name] = value
     if args.epsilon is not None:
         payload["epsilons"] = list(_parse_epsilons(args.epsilon))
     for flag in ("seed", "realizations", "periods"):
@@ -432,15 +418,25 @@ def _cmd_ensemble(args, config: dict) -> int:
     return 0
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "graph": _cmd_graph,
-    "degree-fit": _cmd_degree_fit,
-    "level-stats": _cmd_level_stats,
-    "spectrum": _cmd_spectrum,
-    "walk": _cmd_walk,
-    "classical": _cmd_classical,
-    "ensemble": _cmd_ensemble,
+# subcommand -> (handler, description, the flags the handler reads); any
+# other flag is a parse error, while config-file keys are never checked
+_SUBCOMMANDS = {
+    "simulate": (_cmd_simulate, "write the propagator, effective Hamiltonians, and quasienergies",
+                 (*_CHAIN, "epsilon", "seed", "out-dir")),
+    "graph": (_cmd_graph, "build and export the percolation graph",
+              (*_CHAIN, "epsilon", "seed", "out-dir", "format")),
+    "degree-fit": (_cmd_degree_fit, "power-law / lognormal / Poisson fits of a degree CSV",
+                   ("n", "epsilon", "out-dir")),
+    "level-stats": (_cmd_level_stats, "pooled gap-ratio histogram with reference overlays",
+                    (*_CHAIN, "epsilon", "seed", "realizations", "out-dir")),
+    "spectrum": (_cmd_spectrum, "magnetization series, power spectra, fidelity grid",
+                 (*_CHAIN, "epsilon", "seed", "realizations", "periods", "out-dir")),
+    "walk": (_cmd_walk, "quantum-walk populations and participation ratios",
+             (*_CHAIN, "epsilon", "seed", "out-dir")),
+    "classical": (_cmd_classical, "fixed-point stability sweep over corner configurations",
+                  (*_CHAIN, "out-dir")),
+    "ensemble": (_cmd_ensemble, "run a JSON-configured disorder ensemble",
+                 (*_CHAIN, "epsilon", "seed", "realizations", "periods", "out-dir")),
 }
 
 
@@ -455,15 +451,10 @@ def main(argv: list[str] | None = None) -> int:
             subcommand=args.command, flags=flags, config_path=args.config
         )
         config = _load_config(invocation.config_path)
-        return _HANDLERS[invocation.subcommand](invocation, config)
-    except CliError as exc:
+        handler = _SUBCOMMANDS[invocation.subcommand][0]
+        return handler(invocation, config)
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON config: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,6 +50,8 @@ TASKS = ("graph", "levelstats", "spectrum", "walk", "classical")
 MAX_SITES = 12
 DEFAULT_PERIODS = 64
 GAP_HISTOGRAM_BINS = 20
+# the SpinChainParams fields besides n that a spec's "params" object holds
+_CHAIN_KEYS = ("J0", "alpha", "W", "T1", "T2")
 
 
 @dataclass(frozen=True)
@@ -88,16 +90,10 @@ class EnsembleSpec:
     @classmethod
     def from_json(cls, payload: dict) -> "EnsembleSpec":
         p = payload.get("params", {})
-        params = SpinChainParams(
-            n=int(p["n"]),
-            J0=float(p.get("J0", 0.06)),
-            alpha=float(p.get("alpha", 1.51)),
-            W=float(p.get("W", pi)),
-            T1=float(p.get("T1", 1.0)),
-            T2=float(p.get("T2", 1.0)),
-        )
+        # only the settings given; the rest take the SpinChainParams defaults
+        chain = {key: float(p[key]) for key in _CHAIN_KEYS if key in p}
         return cls(
-            params=params,
+            params=SpinChainParams(n=int(p["n"]), **chain),
             epsilons=tuple(float(e) for e in payload["epsilons"]),
             realizations=int(payload["realizations"]),
             seed=int(payload["seed"]),
@@ -108,7 +104,7 @@ class EnsembleSpec:
     def to_json(self) -> dict:
         p = self.params
         return {
-            "params": {"n": p.n, "J0": p.J0, "alpha": p.alpha, "W": p.W, "T1": p.T1, "T2": p.T2},
+            "params": {"n": p.n, **{key: getattr(p, key) for key in _CHAIN_KEYS}},
             "epsilons": list(self.epsilons),
             "realizations": self.realizations,
             "seed": self.seed,

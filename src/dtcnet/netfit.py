@@ -157,13 +157,16 @@ def _model_cdf(k: np.ndarray, k_min: int, beta: float) -> np.ndarray:
 
 def ks_distance(degrees, fit: PowerLawFit) -> float:
     """Max |empirical CDF - model CDF| over the fitted tail."""
-    arr = _as_degree_array(degrees)
-    tail = np.sort(arr[arr >= fit.k_min])
+    return _ks(_as_degree_array(degrees), fit.k_min, fit.beta)
+
+
+def _ks(arr: np.ndarray, k_min: int, beta: float) -> float:
+    tail = np.sort(arr[arr >= k_min])
     if tail.size == 0:
-        raise ValueError(f"no samples >= k_min = {fit.k_min}")
+        raise ValueError(f"no samples >= k_min = {k_min}")
     uniq = np.unique(tail)
     empirical = np.searchsorted(tail, uniq, side="right") / tail.size
-    return float(np.abs(empirical - _model_cdf(uniq, fit.k_min, fit.beta)).max())
+    return float(np.abs(empirical - _model_cdf(uniq, k_min, beta)).max())
 
 
 def kmin_scan(degrees) -> PowerLawFit:
@@ -188,7 +191,7 @@ def kmin_scan(degrees) -> PowerLawFit:
         fit = PowerLawFit(
             beta=beta,
             k_min=k_min,
-            ks=ks_distance(positive, _bare_fit(beta, k_min, tail.size)),
+            ks=_ks(positive, k_min, beta),
             n_tail=int(tail.size),
         )
         if best is None or fit.ks < best.ks - 1e-15:
@@ -196,11 +199,6 @@ def kmin_scan(degrees) -> PowerLawFit:
     if best is None:
         raise ValueError("no candidate k_min with a sufficient tail")
     return best
-
-
-def _bare_fit(beta: float, k_min: int, n_tail: int) -> PowerLawFit:
-    # ks field is a placeholder: ks_distance only reads beta and k_min
-    return PowerLawFit(beta=beta, k_min=k_min, ks=0.0, n_tail=n_tail)
 
 
 def _lognormal_logpdf(x: np.ndarray, x_min: float, mu: float, sigma: float) -> np.ndarray:

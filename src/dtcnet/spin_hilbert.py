@@ -107,9 +107,9 @@ class SpinChainParams:
         """Symmetric n x n matrix J_lm = J0/|l-m|**alpha, zero diagonal."""
         idx = np.arange(self.n)
         dist = np.abs(idx[:, None] - idx[None, :]).astype(float)
-        with np.errstate(divide="ignore"):
-            J = self.J0 / dist**self.alpha
-        np.fill_diagonal(J, 0.0)
+        J = np.zeros((self.n, self.n))
+        off = dist > 0
+        J[off] = self.J0 / dist[off] ** self.alpha
         return J
 
 

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -128,7 +129,9 @@ class TestValidation:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert main(["graph", "--n", "4", "--epsilon", "0", "--config", str(cfg)]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid JSON config {cfg}: ")
+        assert "\n" not in err.strip()
 
     def test_config_not_an_object_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -310,6 +313,19 @@ class TestLevelStatsCommand:
         ) == 0
         assert (tmp_path / "gap-ratios-eps0p01.csv").exists()
         assert (tmp_path / "gap-ratios-eps0p1.csv").exists()
+
+    def test_empty_sample_reports_no_ratios(self, tmp_path, capsys):
+        # uncoupled, field-free and unrotated: every level is degenerate,
+        # so each gap ratio is excluded and no mean can be taken
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(
+                ["level-stats", "--n", "3", "--epsilon", "0", "--disorder-w", "0", "--j0", "0",
+                 "--out-dir", str(tmp_path)]
+            ) == 0
+        assert capsys.readouterr().out == "eps=0: no gap ratios remain\n"
+        _, body = _read_csv(tmp_path / "gap-ratios-eps0.csv")
+        assert all(float(row[2]) == 0.0 for row in body)
 
 
 class TestSpectrumCommand:
@@ -518,15 +534,28 @@ def _console_script(argv):
         scripts = tomllib.load(fh)["project"]["scripts"]
     ep = EntryPoint(name="dtcnet", value=scripts["dtcnet"], group="console_scripts")
     body = f"import sys; from {ep.module} import {ep.attr}; sys.exit({ep.attr}())"
+    return subprocess.run(
+        [sys.executable, "-c", body, *argv],
+        capture_output=True, text=True, timeout=120, env=_child_env(),
+    )
+
+
+def _strict_module_run(argv):
+    """Run `python -W error::RuntimeWarning -m dtcnet.cli` with *argv* in a subprocess."""
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "dtcnet.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=_child_env(),
+    )
+
+
+def _child_env() -> dict:
+    """This environment, with the package the tests imported first on PYTHONPATH."""
     env = dict(os.environ)
     package_root = str(Path(dtcnet.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
-    return subprocess.run(
-        [sys.executable, "-c", body, *argv],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
+    return env
 
 
 class TestConsoleScript:
@@ -538,17 +567,24 @@ class TestConsoleScript:
     def test_module_run_is_warning_free(self, tmp_path):
         # `python -m dtcnet.cli` must not find dtcnet.cli already imported
         # by the package, which runpy reports with a RuntimeWarning
-        env = dict(os.environ)
-        package_root = str(Path(dtcnet.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "dtcnet.cli",
-             "classical", "--n", "3", "--out-dir", str(tmp_path)],
-            capture_output=True, text=True, timeout=120, env=env,
-        )
+        proc = _strict_module_run(["classical", "--n", "3", "--out-dir", str(tmp_path)])
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert (tmp_path / "classical.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, written",
+        [
+            (["classical", "--n", "3", "--j0", "0"], "classical.csv"),
+            (["level-stats", "--n", "3", "--epsilon", "0", "--disorder-w", "0", "--j0", "0"],
+             "gap-ratios-eps0.csv"),
+        ],
+    )
+    def test_zero_coupling_run_is_warning_free(self, argv, written, tmp_path):
+        proc = _strict_module_run(argv + ["--out-dir", str(tmp_path)])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert (tmp_path / written).exists()
 
     def test_entry_point_propagates_validation_exit(self):
         proc = _console_script(["graph", "--n", "4", "--epsilon", "oops"])

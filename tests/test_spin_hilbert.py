@@ -1,5 +1,7 @@
 """Configuration-space primitives: conventions, builders, disorder."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -41,6 +43,16 @@ class TestParams:
         assert params.epsilon == 0.0
         assert params.period == 2.0
         assert params.dim == 256
+
+    @pytest.mark.parametrize("J0", [0.0, 0.06])
+    def test_couplings_power_law_with_zero_diagonal(self, J0):
+        params = SpinChainParams(n=5, J0=J0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # J0 = 0 must not divide 0 by 0 on the diagonal
+            J = params.couplings()
+        expected = [[J0 / abs(l - m) ** params.alpha if l != m else 0.0 for m in range(5)] for l in range(5)]
+        np.testing.assert_allclose(J, expected, rtol=1e-14, atol=0.0)
+        assert np.all(np.diag(J) == 0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
