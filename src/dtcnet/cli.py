@@ -27,7 +27,6 @@ from .ensemble import (
     check_size,
     degree_fit,
     eps_tag,
-    format_float,
     realization_outputs,
     run_ensemble,
     write_classical_table,
@@ -207,11 +206,8 @@ def _cmd_simulate(args, config: dict) -> int:
     np.save(out / "heff_T.npy", heff_T.matrix)
     np.save(out / "heff_2T.npy", heff_2T.matrix)
     np.save(out / "heff_2T_bch.npy", bch.matrix)
-    write_csv(
-        out / "quasienergies.csv",
-        "level,quasienergy",
-        ((s, format_float(lam)) for s, lam in enumerate(spectrum.quasienergies)),
-    )
+    levels = spectrum.quasienergies
+    write_csv(out / "quasienergies.csv", "level,quasienergy", np.arange(levels.size), levels)
     for warning in spectrum.branch_warnings:
         print(f"warning: {warning}", file=sys.stderr)
     for tag, solved in (("T", spectrum), ("2T", spectrum_2T)):
@@ -248,12 +244,8 @@ def _cmd_graph(args, config: dict) -> int:
         suffix = "dot" if fmt == "dot" else "graphml"
         (out / f"graph-eps{tag}.{suffix}").write_bytes(export_graph(graph, fmt))
         written.append(f"graph-eps{tag}.{suffix}")
-    decomposition = clusters(graph)
-    write_csv(
-        out / f"clusters-eps{tag}.csv",
-        "cluster,size",
-        ((c, s) for c, s in enumerate(decomposition.sizes)),
-    )
+    sizes = clusters(graph).sizes
+    write_csv(out / f"clusters-eps{tag}.csv", "cluster,size", np.arange(len(sizes)), sizes)
     written.append(f"clusters-eps{tag}.csv")
     print(f"wrote {', '.join(written)} in {out}")
     return 0
@@ -292,7 +284,7 @@ def _cmd_degree_fit(args, config: dict) -> int:
     out = _out_dir(args, config)
     write_degree_fit(out / "degree-fit.csv", eps, n, fit, verdict)
     lam = poisson_fit(degrees)
-    write_csv(out / "poisson-fit.csv", "lambda", [(format_float(lam),)])
+    write_csv(out / "poisson-fit.csv", "lambda", lam)
     print(
         f"beta={fit.beta:.4f} k_min={fit.k_min} ks={fit.ks:.4f} n_tail={fit.n_tail} "
         f"favored={verdict.favored} poisson_lambda={lam:.4f}"
@@ -349,20 +341,10 @@ def _cmd_spectrum(args, config: dict) -> int:
     for eps in epsilons:
         tag = eps_tag(eps)
         series = payloads[0]["magnetization"][tag]
-        spec = power_spectrum(series, period=params.period)
-        write_csv(
-            out / f"magnetization-eps{tag}.csv",
-            "period,magnetization",
-            ((m, format_float(v)) for m, v in enumerate(series)),
-        )
-        write_csv(
-            out / f"power-spectrum-eps{tag}.csv",
-            "k,omega,V",
-            (
-                (k, format_float(spec.omega(k)), format_float(v))
-                for k, v in enumerate(spec.V)
-            ),
-        )
+        power = power_spectrum(series, period=params.period)
+        write_csv(out / f"magnetization-eps{tag}.csv", "period,magnetization", np.arange(series.size), series)
+        k = np.arange(power.V.size)
+        write_csv(out / f"power-spectrum-eps{tag}.csv", "k,omega,V", k, power.omega(k), power.V)
     write_fidelity_table(out / "fidelity.csv", payloads, epsilons)
     print(f"wrote magnetization, power-spectrum, and fidelity CSVs in {out}")
     return 0
@@ -397,7 +379,10 @@ def _cmd_ensemble(args, config: dict) -> int:
     if not config:
         raise CliError("ensemble requires --config with an EnsembleSpec JSON object")
     payload = dict(config)
-    payload.setdefault("params", {})
+    params = payload.get("params", {})
+    if not isinstance(params, dict):
+        raise CliError("invalid ensemble config: malformed field 'params' (must be a JSON object)")
+    payload["params"] = dict(params)
     for flag, name in _CHAIN.items():
         value = getattr(args, flag.replace("-", "_"))
         if value is not None:

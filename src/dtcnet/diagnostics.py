@@ -65,8 +65,8 @@ class PowerSpectrum:
     N: int
     period: float
 
-    def omega(self, k: int) -> float:
-        """Angular frequency 2 pi k / (N T) of bin k."""
+    def omega(self, k):
+        """Angular frequency 2 pi k / (N T) of bin k, or of each bin in an array k."""
         return 2.0 * pi * k / (self.N * self.period)
 
 

@@ -14,9 +14,9 @@ import os
 import time
 from itertools import count
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
-from math import pi
+from math import isfinite, pi
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +70,8 @@ class EnsembleSpec:
             raise ValueError("realizations must be >= 1")
         if len(self.epsilons) == 0:
             raise ValueError("epsilons must be nonempty")
+        if not all(isfinite(e) for e in self.epsilons):
+            raise ValueError(f"epsilons must be finite, got {list(self.epsilons)}")
         if any(e < 0 for e in self.epsilons):
             raise ValueError("epsilons must be >= 0")
         tags = [eps_tag(e) for e in self.epsilons]
@@ -115,37 +117,31 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to audit or reproduce a run."""
+    """Everything needed to audit or reproduce a run; fields in manifest.json key order."""
 
+    version: str
+    run_dir: str
     spec: dict
     per_realization_seeds: list
     artifacts: dict
     branch_margin_warnings: list
-    version: str
     timings: dict
-    run_dir: str
     notes: list
 
     def to_json(self) -> dict:
-        return {
-            "version": self.version,
-            "run_dir": self.run_dir,
-            "spec": self.spec,
-            "per_realization_seeds": self.per_realization_seeds,
-            "artifacts": self.artifacts,
-            "branch_margin_warnings": self.branch_margin_warnings,
-            "timings": self.timings,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _worker_count(notes: list[str]) -> int:
     raw = os.environ.get("DTCNET_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        notes.append(f"DTCNET_THREADS={raw!r} is not an integer; realizations ran serially")
+        workers = 0
+    if workers < 1:
+        notes.append(f"DTCNET_THREADS={raw!r} is not a positive integer; realizations ran serially")
         return 1
+    return workers
 
 
 def check_size(n: int) -> None:
@@ -166,17 +162,19 @@ def check_size(n: int) -> None:
         )
 
 
-def format_float(x: float) -> str:
-    """The CSV rendering of every float output."""
-    return f"{x:.12g}"
+def write_csv(path: Path, header: str, *columns) -> None:
+    """Write the header line, then one comma-joined row per entry of the columns.
 
-
-def write_csv(path: Path, header: str, rows) -> None:
-    """Write the header line, then each row's cells joined by commas."""
+    Each column is an array, a list or a scalar repeated on every row.
+    Float columns render as .12g and every other cell as str; this is
+    the rendering of every CSV table. Zero-length columns write the
+    header alone.
+    """
+    arrays = np.broadcast_arrays(*(np.atleast_1d(c) for c in columns))
+    row = ",".join("{:.12g}" if a.dtype.kind == "f" else "{}" for a in arrays) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+        fh.writelines(row.format(*cells) for cells in zip(*(a.tolist() for a in arrays)))
 
 
 def eps_tag(eps: float) -> str:
@@ -310,14 +308,12 @@ def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
                 degrees = np.concatenate([g.degrees for g in graphs])
                 _write_fit_outputs(run_dir, f"{tag}-eps{key}", eps, spec.params.n, degrees, record, notes)
                 table = avg_degree_by_domain_walls(graphs)
+                means, stds = zip(*table.values())
                 path = run_dir / f"walls-{tag}-eps{key}.csv"
                 write_csv(
                     path,
                     "epsilon,walls,mean_degree,std_degree,realizations",
-                    (
-                        (format_float(eps), w, format_float(m), format_float(s), len(graphs))
-                        for w, (m, s) in table.items()
-                    ),
+                    eps, list(table), means, stds, len(graphs),
                 )
                 record("graph", path)
 
@@ -347,15 +343,15 @@ def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
 
     timings["total_s"] = round(time.perf_counter() - t_start, 3)
     manifest = RunManifest(
+        version=__version__,
+        run_dir=str(run_dir),
         spec=spec.to_json(),
         per_realization_seeds=[
             {"realization": r, "seed_sequence": [spec.seed, r]} for r in indices
         ],
         artifacts=artifacts,
         branch_margin_warnings=warnings,
-        version=__version__,
         timings=timings,
-        run_dir=str(run_dir),
         notes=notes,
     )
     with open(run_dir / "manifest.json", "w") as fh:
@@ -388,14 +384,7 @@ def _write_fit_outputs(run_dir: Path, tag: str, eps: float, n: int, degrees, rec
         notes.append(f"degree-histogram skipped ({tag}): {exc}")
     else:
         path = run_dir / f"degree-hist-{tag}.csv"
-        write_csv(
-            path,
-            "bin_lo,bin_hi,density",
-            (
-                (format_float(lo), format_float(hi), format_float(d))
-                for lo, hi, d in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.densities)
-            ),
-        )
+        write_csv(path, "bin_lo,bin_hi,density", hist.bin_edges[:-1], hist.bin_edges[1:], hist.densities)
         record("graph", path)
     try:
         fit, verdict = degree_fit(degrees)
@@ -418,16 +407,11 @@ def degree_fit(degrees):
 
 def write_degree_fit(path: Path, eps: float, n: int, fit, verdict) -> None:
     """The one-row table of a degree_fit result."""
-    row = (
-        format_float(eps),
-        n,
-        format_float(fit.beta),
-        fit.k_min,
-        format_float(fit.ks),
-        fit.n_tail,
-        verdict.favored,
+    write_csv(
+        path,
+        "epsilon,n,beta,k_min,ks,n_tail,favored",
+        eps, n, fit.beta, fit.k_min, fit.ks, fit.n_tail, verdict.favored,
     )
-    write_csv(path, "epsilon,n,beta,k_min,ks,n_tail,favored", [row])
 
 
 def write_gap_ratio_table(path: Path, ratios: np.ndarray) -> None:
@@ -439,16 +423,9 @@ def write_gap_ratio_table(path: Path, ratios: np.ndarray) -> None:
     write_csv(
         path,
         "r_lo,r_hi,density,reference_poisson,reference_coe",
-        (
-            (
-                format_float(lo),
-                format_float(hi),
-                format_float(d),
-                format_float(reference_pdf("poisson", m)),
-                format_float(reference_pdf("coe", m)),
-            )
-            for lo, hi, d, m in zip(edges[:-1], edges[1:], density, mids)
-        ),
+        edges[:-1], edges[1:], density,
+        [reference_pdf("poisson", m) for m in mids],
+        [reference_pdf("coe", m) for m in mids],
     )
 
 
@@ -456,53 +433,44 @@ def write_fidelity_table(path: Path, payloads: list[dict], epsilons) -> None:
     """Spectral fidelity per configuration and epsilon, averaged over realizations.
 
     Each mean runs over the realizations where the fidelity is finite
-    and is "nan" where it never is, which raises no RuntimeWarning.
+    and is NaN where it never is, which raises no RuntimeWarning.
     """
-    rows = []
+    means = []
     for eps in epsilons:
         stack = np.vstack([p["spectrum"][eps_tag(eps)] for p in payloads])
         finite = np.isfinite(stack)
         counts = finite.sum(axis=0)
         sums = np.where(finite, stack, 0.0).sum(axis=0)
-        mean = np.divide(sums, counts, out=np.full(stack.shape[1], np.nan), where=counts > 0)
-        rows += [
-            (i, format_float(eps), "nan" if np.isnan(f) else format_float(f))
-            for i, f in enumerate(mean)
-        ]
-    write_csv(path, "config,epsilon,fidelity", rows)
+        means.append(np.divide(sums, counts, out=np.full(stack.shape[1], np.nan), where=counts > 0))
+    configs = means[0].size
+    write_csv(
+        path,
+        "config,epsilon,fidelity",
+        np.tile(np.arange(configs), len(means)), np.repeat(epsilons, configs), np.concatenate(means),
+    )
 
 
 def write_walk_tables(out: Path, suffix: str, prs, populations) -> list[Path]:
     """Write pr-<suffix>.csv and walk-<suffix>.csv; returns both paths."""
     pr_path, walk_path = out / f"pr-{suffix}.csv", out / f"walk-{suffix}.csv"
-    write_csv(pr_path, "config,pr", ((i, format_float(v)) for i, v in enumerate(prs)))
-    write_csv(
-        walk_path,
-        "period,config,population",
-        (
-            (m, i, format_float(populations[m, i]))
-            for m in range(populations.shape[0])
-            for i in range(populations.shape[1])
-        ),
-    )
+    write_csv(pr_path, "config,pr", np.arange(len(prs)), prs)
+    period, config = np.indices(populations.shape)
+    write_csv(walk_path, "period,config,population", period.ravel(), config.ravel(), populations.ravel())
     return [pr_path, walk_path]
 
 
 def write_classical_table(path: Path, params: SpinChainParams) -> None:
     """Energy and fixed-point stability of every classical corner configuration."""
     n = params.n
-    rows = []
-    for index in range(2**n):
-        bits = format(index, f"0{n}b")
-        config = ClassicalConfiguration(thetas=np.array([0.0 if b == "1" else pi for b in bits]))
-        report = classify_fixed_point(jacobian(config, params))
-        rows.append(
-            (
-                bits,
-                format_float(classical_energy(config, params)),
-                format_float(float(report.eigenvalues.min())),
-                format_float(float(report.eigenvalues.max())),
-                report.classification,
-            )
-        )
-    write_csv(path, "configuration,energy,min_eigenvalue,max_eigenvalue,classification", rows)
+    bits = [format(index, f"0{n}b") for index in range(2**n)]
+    corners = [ClassicalConfiguration(thetas=np.array([0.0 if b == "1" else pi for b in c])) for c in bits]
+    reports = [classify_fixed_point(jacobian(config, params)) for config in corners]
+    write_csv(
+        path,
+        "configuration,energy,min_eigenvalue,max_eigenvalue,classification",
+        bits,
+        [classical_energy(config, params) for config in corners],
+        [report.eigenvalues.min() for report in reports],
+        [report.eigenvalues.max() for report in reports],
+        [report.classification for report in reports],
+    )

@@ -8,8 +8,8 @@ All operators are dense 2^n x 2^n complex matrices in this basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import pi
+from dataclasses import dataclass, fields
+from math import isfinite, pi
 
 import numpy as np
 
@@ -80,6 +80,9 @@ class SpinChainParams:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        for f in fields(self)[1:]:  # the float settings after n
+            if not isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.T1 <= 0 or self.T2 <= 0:
             raise ValueError("T1 and T2 must be positive")
         if self.alpha <= 0:

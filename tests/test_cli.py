@@ -106,6 +106,15 @@ class TestValidation:
             ["classical", "--n", "3", "--epsilon", "0.1"],
             ["simulate", "--n", "3", "--epsilon", "0.1", "--format", "dot"],
             ["level-stats", "--n", "3", "--epsilon", "0.1", "--periods", "4"],
+            # non-finite chain settings
+            ["graph", "--n", "4", "--epsilon", "nan"],
+            ["simulate", "--n", "4", "--epsilon", "inf"],
+            ["walk", "--n", "4", "--epsilon", "nan"],
+            ["level-stats", "--n", "4", "--epsilon", "0.1,nan"],
+            ["spectrum", "--n", "4", "--epsilon", "inf"],
+            ["classical", "--n", "4", "--t1", "nan"],
+            ["classical", "--n", "4", "--j0", "nan"],
+            ["graph", "--n", "4", "--epsilon", "0.1", "--disorder-w", "inf"],
         ],
     )
     def test_exits_1(self, argv, capsys, tmp_path):
@@ -144,6 +153,27 @@ class TestValidation:
         cfg.write_text(json.dumps({"params": {"n": 3}, "epsilons": [0.0]}))
         assert main(["ensemble", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", [[], "n=4", 4])
+    @pytest.mark.parametrize("flags", [[], ["--n", "4"]])
+    def test_ensemble_params_not_an_object_exits_1(self, params, flags, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": params, "epsilons": [0.0], "realizations": 1,
+                                   "seed": 0, "tasks": ["graph"]}))
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(cfg), "--out-dir", str(out), *flags]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err == "error: invalid ensemble config: malformed field 'params' (must be a JSON object)"
+        assert not out.exists()
+
+    def test_ensemble_non_finite_epsilon_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"n": 3}, "epsilons": [0.0, float("nan")],
+                                   "realizations": 1, "seed": 0, "tasks": ["graph"]}))
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert "epsilons must be finite" in capsys.readouterr().err
+        assert not out.exists()  # rejected before the run directory exists
 
 
 class TestSizeLimit:

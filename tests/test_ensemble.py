@@ -47,6 +47,8 @@ class TestEnsembleSpec:
             {"epsilons": (0.1, 0.05, 0.1)},
             {"tasks": frozenset({"graph", "bogus"})},
             {"periods": 1},
+            {"epsilons": (0.1, float("nan"))},
+            {"epsilons": (float("inf"),)},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -199,11 +201,22 @@ class TestRunHygiene:
         assert _csv_bytes(threaded) == _csv_bytes(serial)
 
     def test_non_integer_thread_count_is_noted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DTCNET_THREADS", "abc")
+        # so is a count below 1; each of these runs serially
+        for raw in ("abc", "0", "-3"):
+            monkeypatch.setenv("DTCNET_THREADS", raw)
+            manifest = run_ensemble(_spec(), out_dir=tmp_path / raw)
+            assert any(f"DTCNET_THREADS={raw!r}" in note for note in manifest.notes)
+            saved = json.loads((Path(manifest.run_dir) / "manifest.json").read_text())
+            assert saved["notes"] == manifest.notes
+
+    def test_manifest_key_order(self, tmp_path):
         manifest = run_ensemble(_spec(), out_dir=tmp_path)
-        assert any("DTCNET_THREADS='abc'" in note for note in manifest.notes)
         saved = json.loads((Path(manifest.run_dir) / "manifest.json").read_text())
-        assert saved["notes"] == manifest.notes
+        assert list(saved) == [
+            "version", "run_dir", "spec", "per_realization_seeds", "artifacts",
+            "branch_margin_warnings", "timings", "notes",
+        ]
+        assert saved == manifest.to_json()
 
     def test_schur_fallbacks_are_noted(self, tmp_path, skewed_eigh):
         manifest = run_ensemble(_spec(epsilons=(0.1,)), out_dir=tmp_path)
@@ -323,3 +336,48 @@ class TestReproducibility:
 
     def test_artifacts_exist_and_parse(self):
         check_manifest_artifacts_parse()
+
+
+def _row_wise_csv(header, rows) -> str:
+    """The row-wise rendering write_csv replaced: .12g floats, str for the rest."""
+    cell = lambda c: f"{c:.12g}" if isinstance(c, (float, np.floating)) else str(c)
+    return "".join(",".join(cell(c) for c in row) + "\n" for row in [[header], *rows])
+
+
+class TestWriteCsv:
+    """write_csv renders column-wise exactly what the row-wise rendering gives."""
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            # float columns: NaN, signed zero, tiny, integral, long mantissa
+            (np.array([np.nan, -0.0, 1e-300, 3.0, 0.1 + 0.2]), [2.0, float("nan"), 0.0, -1e300, 1 / 3]),
+            # numpy and Python ints
+            (np.arange(5), [0, -7, 2**40, 12, 3], np.array([5, 4, 3, 2, 1], dtype=np.int32)),
+            # str columns next to floats
+            (["0101", "1010", "1111"], ["stable", "unstable", "marginal"], np.array([0.5, 1e-9, -2.5])),
+            # scalars repeated on every row
+            (0.012, np.arange(4), np.array([1.5, 2.5, np.nan, 4.0]), 7, "lognormal"),
+        ],
+    )
+    def test_matches_row_wise_rendering(self, columns, tmp_path):
+        header = ",".join(f"c{i}" for i in range(len(columns)))
+        length = max(np.size(c) for c in columns)
+        rows = [[c if np.ndim(c) == 0 else c[i] for c in columns] for i in range(length)]
+        path = tmp_path / "table.csv"
+        dtcnet.ensemble.write_csv(path, header, *columns)
+        assert path.read_bytes() == _row_wise_csv(header, rows).encode()
+
+    def test_all_scalars_give_one_row(self, tmp_path):
+        path = tmp_path / "table.csv"
+        dtcnet.ensemble.write_csv(path, "epsilon,n,favored", float("nan"), 8, "inconclusive")
+        assert path.read_text() == "epsilon,n,favored\nnan,8,inconclusive\n"
+
+    def test_zero_length_columns_write_header_only(self, tmp_path):
+        path = tmp_path / "table.csv"
+        dtcnet.ensemble.write_csv(path, "config,epsilon,pr", np.arange(0), 0.1, np.zeros(0))
+        assert path.read_text() == "config,epsilon,pr\n"
+
+    def test_mismatched_lengths_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            dtcnet.ensemble.write_csv(tmp_path / "table.csv", "a,b", np.arange(3), np.zeros(4))

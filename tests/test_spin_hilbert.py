@@ -69,6 +69,12 @@ class TestParams:
         with pytest.raises(ValueError):
             SpinChainParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["J0", "alpha", "W", "epsilon", "T1", "T2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SpinChainParams(n=4, **{field: value})
+
 
 class TestConfiguration:
     def test_bit_convention(self):
