@@ -1,9 +1,10 @@
 """Command-line front end for the simulation and analysis pipeline.
 
-Every subcommand resolves its settings with the same precedence: an
-explicit flag wins over the --config JSON file, which wins over the
-built-in defaults; chain settings left unset take the SpinChainParams
-defaults.
+main resolves each of a subcommand's flags once: an explicit flag wins
+over the --config JSON file, which wins over _DEFAULTS; chain settings
+left unset take the SpinChainParams defaults. An ensemble config is an
+EnsembleSpec, which only the flags given override. Each value passes
+through unconverted, and the object that owns a setting checks its type.
 Validation problems exit with status 1 and a single-line diagnostic;
 I/O problems exit with status 2.
 """
@@ -15,6 +16,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -45,7 +47,7 @@ from .floquet_core import (
 )
 from .netfit import poisson_fit
 from .percolation_graph import clusters, export_graph, export_nodes_csv, percolation_graph
-from .spin_hilbert import SpinChainParams, sample_disorder
+from .spin_hilbert import SpinChainParams, check_setting, sample_disorder
 
 __all__ = ["CliInvocation", "main"]
 
@@ -58,8 +60,8 @@ class CliError(Exception):
 class CliInvocation:
     """One parsed invocation: subcommand, flag values, optional config path.
 
-    Flags that were not given on the command line are stored as None so
-    the config-file and default fallbacks stay distinguishable.
+    flags holds each declared flag's resolved value or None (for
+    ensemble, each flag but out_dir only as given on the command line).
     """
 
     subcommand: str
@@ -97,6 +99,8 @@ _FLAGS = {
 }
 # chain flag -> SpinChainParams field; the config file and args use the flag with "_" for "-"
 _CHAIN = {"n": "n", "t1": "T1", "t2": "T2", "j0": "J0", "alpha": "alpha", "disorder-w": "W"}
+# the value of a setting that neither the command line nor the config file gives
+_DEFAULTS = {"seed": 0, "realizations": 1, "periods": DEFAULT_PERIODS, "out_dir": ".", "format": "csv"}
 
 
 def _build_parser() -> _Parser:
@@ -124,76 +128,76 @@ def _load_config(path: str | None) -> dict:
     return payload
 
 
-def _resolve(args, config: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+def _resolve_flags(subcommand: str, given: dict, config: dict) -> dict:
+    """Each declared flag's value: the flag, else the config key, else _DEFAULTS, else None.
+
+    An ensemble config is an EnsembleSpec that only the flags given
+    override, so there the output directory alone resolves this way.
+    """
+    flags = dict(given)
+    for key in ("out_dir",) if subcommand == "ensemble" else given:
+        if flags[key] is None:
+            flags[key] = config.get(key, _DEFAULTS.get(key))
+    if not isinstance(flags["out_dir"], str):
+        raise CliError(f"out_dir must be a string, got {flags['out_dir']!r}")
+    return flags
 
 
-def _parse_epsilons(raw) -> tuple[float, ...]:
+def _epsilons(args, single: bool = False) -> tuple[float, ...]:
+    """The --epsilon values: a comma-separated flag or a config number or list."""
+    raw = args.epsilon
     if raw is None:
         raise CliError("--epsilon is required")
-    if isinstance(raw, (list, tuple)):
-        values = [float(v) for v in raw]
-    else:
+    if isinstance(raw, str):
         try:
-            values = [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
+            values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
         except ValueError:
             raise CliError(f"cannot parse --epsilon value {raw!r}")
+    else:
+        values = raw if isinstance(raw, list) else [raw]
+        for value in values:
+            check_setting("epsilon", value, Real)
     if not values:
         raise CliError("--epsilon list is empty")
     if any(v < 0 for v in values):
         raise CliError("epsilon values must be >= 0")
+    if single and len(values) != 1:
+        raise CliError("this subcommand takes a single --epsilon value")
     return tuple(values)
 
 
-def _single_epsilon(raw) -> float:
-    values = _parse_epsilons(raw)
-    if len(values) != 1:
-        raise CliError("this subcommand takes a single --epsilon value")
-    return values[0]
+def _chain_given(args) -> dict:
+    """The chain settings given, by SpinChainParams field; the rest take its defaults."""
+    values = {name: getattr(args, flag.replace("-", "_")) for flag, name in _CHAIN.items()}
+    return {name: value for name, value in values.items() if value is not None}
 
 
-def _params_from(args, config: dict) -> SpinChainParams:
+def _params_from(args) -> SpinChainParams:
     """Chain parameters, checked against the dense-matrix limit before any handler allocates.
 
     Every subcommand that builds a chain reads them here, except ensemble,
     whose run_ensemble makes the same check_size call.
     """
-    given = {flag: _resolve(args, config, flag.replace("-", "_"), None) for flag in _CHAIN}
-    if given["n"] is None:
+    if args.n is None:
         raise CliError("--n is required")
-    check_size(int(given["n"]))
-    try:
-        # only the settings given; the rest take the SpinChainParams defaults
-        return SpinChainParams(**{
-            _CHAIN[flag]: _FLAGS[flag]["type"](value) for flag, value in given.items() if value is not None
-        })
-    except ValueError as exc:
-        raise CliError(str(exc))
+    params = SpinChainParams(**_chain_given(args))
+    check_size(params.n)
+    return params
 
 
-def _out_dir(args, config: dict) -> Path:
+def _out_dir(args) -> Path:
     """The output directory, created; handlers call it once their inputs are validated."""
-    out = Path(_resolve(args, config, "out_dir", "."))
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _seeded_disorder(params: SpinChainParams, args, config: dict):
-    """Realization 0 of the --seed disorder stream."""
-    return sample_disorder(params, int(_resolve(args, config, "seed", 0)), 0)
-
-
 def _cmd_simulate(args, config: dict) -> int:
-    params = _params_from(args, config)
-    eps = _single_epsilon(_resolve(args, config, "epsilon", None))
+    params = _params_from(args)
+    (eps,) = _epsilons(args, single=True)
     params = replace(params, epsilon=eps)
-    disorder = _seeded_disorder(params, args, config)
-    out = _out_dir(args, config)
+    disorder = sample_disorder(params, args.seed, 0)
+    out = _out_dir(args)
 
     U = drive_unitary(params, disorder)
     spectrum = floquet_spectrum(U)
@@ -208,9 +212,9 @@ def _cmd_simulate(args, config: dict) -> int:
     np.save(out / "heff_2T_bch.npy", bch.matrix)
     levels = spectrum.quasienergies
     write_csv(out / "quasienergies.csv", "level,quasienergy", np.arange(levels.size), levels)
-    for warning in spectrum.branch_warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    for tag, solved in (("T", spectrum), ("2T", spectrum_2T)):
+    for tag, prefix, solved in (("T", "", spectrum), ("2T", "2T: ", spectrum_2T)):
+        for warning in solved.branch_warnings:
+            print(f"warning: {prefix}{warning}", file=sys.stderr)
         if solved.schur_fallbacks:
             print(
                 f"warning: {solved.schur_fallbacks} spectrum blocks at {tag} "
@@ -222,14 +226,14 @@ def _cmd_simulate(args, config: dict) -> int:
 
 
 def _cmd_graph(args, config: dict) -> int:
-    params = _params_from(args, config)
-    eps = _single_epsilon(_resolve(args, config, "epsilon", None))
+    params = _params_from(args)
+    (eps,) = _epsilons(args, single=True)
     params = replace(params, epsilon=eps)
-    disorder = _seeded_disorder(params, args, config)
-    fmt = _resolve(args, config, "format", "csv")
+    disorder = sample_disorder(params, args.seed, 0)
+    fmt = args.format
     if fmt not in _FLAGS["format"]["choices"]:
         raise CliError(f"unsupported format {fmt!r}; expected one of {_FLAGS['format']['choices']}")
-    out = _out_dir(args, config)
+    out = _out_dir(args)
 
     graph = percolation_graph(
         effective_hamiltonian(floquet_spectrum(drive_unitary(params, disorder)))
@@ -273,15 +277,15 @@ def _read_degree_column(path: Path) -> np.ndarray:
 
 def _cmd_degree_fit(args, config: dict) -> int:
     degrees = _read_degree_column(Path(args.degree_csv))
-    eps_raw = _resolve(args, config, "epsilon", None)
-    eps = _single_epsilon(eps_raw) if eps_raw is not None else float("nan")
-    n = int(_resolve(args, config, "n", 0))
+    (eps,) = _epsilons(args, single=True) if args.epsilon is not None else (float("nan"),)
+    n = 0 if args.n is None else args.n  # the n column of the fit row
+    check_setting("n", n, Integral)
 
     try:
         fit, verdict = degree_fit(degrees)
     except ValueError as exc:
         raise CliError(f"degree fit failed: {exc}")
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     write_degree_fit(out / "degree-fit.csv", eps, n, fit, verdict)
     lam = poisson_fit(degrees)
     write_csv(out / "poisson-fit.csv", "lambda", lam)
@@ -292,16 +296,12 @@ def _cmd_degree_fit(args, config: dict) -> int:
     return 0
 
 
-def _spec(args, config: dict, params, epsilons, task: str, realizations: int,
-          periods=DEFAULT_PERIODS) -> EnsembleSpec:
+def _spec(args, params, epsilons, task: str) -> EnsembleSpec:
     """One task over realizations 0..realizations-1 of --seed; raises ValueError on bad settings."""
     return EnsembleSpec(
-        params=params,
-        epsilons=tuple(epsilons),
-        realizations=realizations,
-        seed=int(_resolve(args, config, "seed", 0)),
-        tasks=frozenset({task}),
-        periods=periods,
+        params=params, epsilons=epsilons, seed=args.seed, tasks=frozenset({task}),
+        # walk declares neither: it runs realization 0 up to its horizon
+        realizations=getattr(args, "realizations", 1), periods=getattr(args, "periods", DEFAULT_PERIODS),
     )
 
 
@@ -310,11 +310,10 @@ def _payloads(spec: EnsembleSpec) -> list[dict]:
 
 
 def _cmd_level_stats(args, config: dict) -> int:
-    params = _params_from(args, config)
-    epsilons = _parse_epsilons(_resolve(args, config, "epsilon", None))
-    realizations = int(_resolve(args, config, "realizations", 1))
-    spec = _spec(args, config, params, epsilons, "levelstats", realizations)
-    out = _out_dir(args, config)
+    params = _params_from(args)
+    epsilons = _epsilons(args)
+    spec = _spec(args, params, epsilons, "levelstats")
+    out = _out_dir(args)
 
     payloads = _payloads(spec)
     for eps in epsilons:
@@ -329,12 +328,10 @@ def _cmd_level_stats(args, config: dict) -> int:
 
 
 def _cmd_spectrum(args, config: dict) -> int:
-    params = _params_from(args, config)
-    epsilons = _parse_epsilons(_resolve(args, config, "epsilon", None))
-    periods = int(_resolve(args, config, "periods", DEFAULT_PERIODS))
-    realizations = int(_resolve(args, config, "realizations", 1))
-    spec = _spec(args, config, params, epsilons, "spectrum", realizations, periods)
-    out = _out_dir(args, config)
+    params = _params_from(args)
+    epsilons = _epsilons(args)
+    spec = _spec(args, params, epsilons, "spectrum")
+    out = _out_dir(args)
 
     payloads = _payloads(spec)
     # per-epsilon series and spectrum of the all-up configuration in realization 0
@@ -351,13 +348,13 @@ def _cmd_spectrum(args, config: dict) -> int:
 
 
 def _cmd_walk(args, config: dict) -> int:
-    params = _params_from(args, config)
-    eps = _single_epsilon(_resolve(args, config, "epsilon", None))
+    params = _params_from(args)
+    (eps,) = _epsilons(args, single=True)
     if eps <= 0:
         raise CliError("walk requires epsilon > 0 (tunneling horizon diverges at 0)")
     params = replace(params, epsilon=eps)
-    spec = _spec(args, config, params, (eps,), "walk", 1)
-    out = _out_dir(args, config)
+    spec = _spec(args, params, (eps,), "walk")
+    out = _out_dir(args)
 
     tag = eps_tag(eps)
     (payload,) = _payloads(spec)
@@ -368,8 +365,8 @@ def _cmd_walk(args, config: dict) -> int:
 
 
 def _cmd_classical(args, config: dict) -> int:
-    params = _params_from(args, config)
-    out = _out_dir(args, config)
+    params = _params_from(args)
+    out = _out_dir(args)
     write_classical_table(out / "classical.csv", params)
     print(f"wrote classical.csv in {out} ({2**params.n} configurations)")
     return 0
@@ -378,27 +375,20 @@ def _cmd_classical(args, config: dict) -> int:
 def _cmd_ensemble(args, config: dict) -> int:
     if not config:
         raise CliError("ensemble requires --config with an EnsembleSpec JSON object")
-    payload = dict(config)
-    params = payload.get("params", {})
+    params = config.get("params", {})
     if not isinstance(params, dict):
         raise CliError("invalid ensemble config: malformed field 'params' (must be a JSON object)")
-    payload["params"] = dict(params)
-    for flag, name in _CHAIN.items():
-        value = getattr(args, flag.replace("-", "_"))
-        if value is not None:
-            payload["params"][name] = value
+    payload = {**config, "params": {**params, **_chain_given(args)}}
     if args.epsilon is not None:
-        payload["epsilons"] = list(_parse_epsilons(args.epsilon))
-    for flag in ("seed", "realizations", "periods"):
-        if getattr(args, flag) is not None:
-            payload[flag] = getattr(args, flag)
+        payload["epsilons"] = list(_epsilons(args))
+    given = {key: args.flags[key] for key in ("seed", "realizations", "periods")}
+    payload.update({key: value for key, value in given.items() if value is not None})
 
     try:
         spec = EnsembleSpec.from_json(payload)
     except (KeyError, TypeError) as exc:
         raise CliError(f"invalid ensemble config: missing or malformed field {exc}")
-    out = Path(_resolve(args, config, "out_dir", "."))
-    manifest = run_ensemble(spec, out)
+    manifest = run_ensemble(spec, args.out_dir)
     print(f"run complete: {manifest.run_dir}/manifest.json")
     return 0
 
@@ -431,19 +421,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise CliError("a subcommand is required; see --help")
-        flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-        invocation = CliInvocation(
-            subcommand=args.command, flags=flags, config_path=args.config
-        )
-        config = _load_config(invocation.config_path)
-        handler = _SUBCOMMANDS[invocation.subcommand][0]
-        return handler(invocation, config)
-    except (CliError, ValueError) as exc:
+        config = _load_config(args.config)
+        given = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+        flags = _resolve_flags(args.command, given, config)
+        handler = _SUBCOMMANDS[args.command][0]
+        return handler(CliInvocation(args.command, flags, args.config), config)
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

@@ -48,12 +48,10 @@ REFERENCE_KINDS = ("poisson", "goe", "coe")
 class GapRatioSample:
     """Adjacent-gap ratios r = min/max, all in [0, 1].
 
-    source optionally records (n, epsilon, realization count) for
-    provenance; excluded_degenerate counts gaps dropped by the cutoff.
+    excluded_degenerate counts gaps dropped by the cutoff.
     """
 
     ratios: np.ndarray
-    source: tuple | None = None
     excluded_degenerate: int = 0
 
 
@@ -78,7 +76,7 @@ class WalkRecord:
     initial: Configuration
 
 
-def gap_ratios(quasienergies, source: tuple | None = None) -> GapRatioSample:
+def gap_ratios(quasienergies) -> GapRatioSample:
     """Ratios of consecutive level spacings of a sorted spectrum.
 
     Gaps below DEGENERATE_GAP_CUTOFF are removed before pairing (and
@@ -95,7 +93,7 @@ def gap_ratios(quasienergies, source: tuple | None = None) -> GapRatioSample:
         ratios = np.minimum(gaps[:-1], gaps[1:]) / np.maximum(gaps[:-1], gaps[1:])
     else:
         ratios = np.empty(0)
-    return GapRatioSample(ratios=ratios, source=source, excluded_degenerate=excluded)
+    return GapRatioSample(ratios=ratios, excluded_degenerate=excluded)
 
 
 def _poisson_pdf(r):

@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from math import isfinite, pi
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .floquet_core import effective_hamiltonian, drive_unitary, floquet_spectrum
 from .netfit import avg_degree_by_domain_walls, kmin_scan, lognormal_lr_test, log_binned_histogram
 from .percolation_graph import percolation_graph
 from .semiclassical import ClassicalConfiguration, classical_energy, classify_fixed_point, jacobian
-from .spin_hilbert import Configuration, SpinChainParams, sample_disorder
+from .spin_hilbert import Configuration, SpinChainParams, check_setting, sample_disorder
 
 __all__ = [
     "EnsembleSpec",
@@ -66,6 +67,10 @@ class EnsembleSpec:
     periods: int = DEFAULT_PERIODS
 
     def __post_init__(self) -> None:
+        for name in ("realizations", "seed", "periods"):
+            check_setting(name, getattr(self, name), Integral)
+        for e in self.epsilons:
+            check_setting("epsilons", e, Real)
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
         if len(self.epsilons) == 0:
@@ -92,15 +97,17 @@ class EnsembleSpec:
     @classmethod
     def from_json(cls, payload: dict) -> "EnsembleSpec":
         p = payload.get("params", {})
-        # only the settings given; the rest take the SpinChainParams defaults
-        chain = {key: float(p[key]) for key in _CHAIN_KEYS if key in p}
+        for key in ("epsilons", "tasks"):
+            if not isinstance(payload.get(key, []), list):
+                raise ValueError(f"{key} must be a JSON list, got {payload[key]!r}")
         return cls(
-            params=SpinChainParams(n=int(p["n"]), **chain),
-            epsilons=tuple(float(e) for e in payload["epsilons"]),
-            realizations=int(payload["realizations"]),
-            seed=int(payload["seed"]),
+            # only the settings given; the rest take the SpinChainParams defaults
+            params=SpinChainParams(n=p["n"], **{key: p[key] for key in _CHAIN_KEYS if key in p}),
+            epsilons=tuple(payload["epsilons"]),
+            realizations=payload["realizations"],
+            seed=payload["seed"],
             tasks=frozenset(payload["tasks"]),
-            periods=int(payload.get("periods", DEFAULT_PERIODS)),
+            periods=payload.get("periods", DEFAULT_PERIODS),
         )
 
     def to_json(self) -> dict:
@@ -185,10 +192,10 @@ def eps_tag(eps: float) -> str:
 def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     """Everything disorder realization r contributes to a run.
 
-    The result holds "warnings" (branch-cut and skipped-task records),
-    "notes" (spectra whose block solve fell back to Schur, for the
-    manifest) and, for each task in spec.tasks, a dict keyed by
-    eps_tag(epsilon):
+    The result holds "warnings" (branch-cut records, each 2T string
+    prefixed "2T: ", and skipped-task records), "notes" (spectra whose
+    block solve fell back to Schur, for the manifest) and, for each task
+    in spec.tasks, a dict keyed by eps_tag(epsilon):
 
     - "graph": (percolation graph at T, percolation graph at 2T);
     - "levelstats": (gap ratios, count of excluded degenerate gaps);
@@ -208,12 +215,15 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     disorder = sample_disorder(spec.params, spec.seed, r)
     payload: dict = {"warnings": [], "notes": []}
 
-    def note_fallbacks(spectrum, eps: float, tag: str) -> None:
+    def record_health(spectrum, eps: float, tag: str) -> None:
         if spectrum.schur_fallbacks:
             payload["notes"].append(
                 f"eps={eps:g} realization {r} {tag}: "
                 f"{spectrum.schur_fallbacks} spectrum blocks solved by Schur fallback"
             )
+        if spectrum.branch_warnings:
+            warnings = [w if tag == "T" else f"{tag}: {w}" for w in spectrum.branch_warnings]
+            payload["warnings"].append({"epsilon": eps, "realization": r, "warnings": warnings})
 
     n = spec.params.n
     spectra: dict = {}  # epsilon -> power spectrum of every configuration
@@ -225,16 +235,12 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
 
         if "graph" in spec.tasks or "levelstats" in spec.tasks:
             spectrum = floquet_spectrum(U)
-            note_fallbacks(spectrum, eps, "T")
-            if spectrum.branch_warnings:
-                payload["warnings"].append(
-                    {"epsilon": eps, "realization": r, "warnings": list(spectrum.branch_warnings)}
-                )
+            record_health(spectrum, eps, "T")
 
         if "graph" in spec.tasks:
             graph_T = percolation_graph(effective_hamiltonian(spectrum))
             spectrum_2T = two_period_spectrum(U, spectrum)
-            note_fallbacks(spectrum_2T, eps, "2T")
+            record_health(spectrum_2T, eps, "2T")
             graph_2T = percolation_graph(effective_hamiltonian(spectrum_2T))
             payload.setdefault("graph", {})[key] = (graph_T, graph_2T)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import isfinite, pi
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -41,6 +42,12 @@ SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 _IDENTITY_2 = np.eye(2, dtype=complex)
 _AXIS_MATRICES = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+
+
+def check_setting(name: str, value, kind: type) -> None:
+    """Raise a ValueError naming the setting unless value is a kind (Integral or Real) number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {'an integer' if kind is Integral else 'a number'}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -78,9 +85,11 @@ class SpinChainParams:
     T2: float = 1.0
 
     def __post_init__(self) -> None:
+        check_setting("n", self.n, Integral)
         if self.n < 2:
             raise ValueError("n must be >= 2")
         for f in fields(self)[1:]:  # the float settings after n
+            check_setting(f.name, getattr(self, f.name), Real)
             if not isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.T1 <= 0 or self.T2 <= 0:
@@ -226,6 +235,7 @@ def sample_disorder(params: SpinChainParams, seed: int, realization_index: int) 
     counter-based generator, so ensemble members are independent and the
     draw does not depend on evaluation order.
     """
+    check_setting("seed", seed, Integral)
     if seed < 0 or realization_index < 0:
         raise ValueError("seed and realization_index must be >= 0")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(realization_index,))

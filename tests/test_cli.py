@@ -43,6 +43,9 @@ def _column(header, body, name):
     return [row[idx] for row in body]
 
 
+_ENSEMBLE_CONFIG = {"params": {"n": 3}, "epsilons": [0.1], "realizations": 1, "seed": 0, "tasks": ["graph"]}
+
+
 class TestCliInvocation:
     def test_flags_read_attribute_style(self):
         inv = CliInvocation(subcommand="graph", flags={"n": 4, "seed": None})
@@ -124,6 +127,41 @@ class TestValidation:
         assert err.startswith("error:")
         assert "\n" not in err
         assert not out.exists()  # a rejected run creates no output directory
+
+    @pytest.mark.parametrize(
+        "argv, config, setting",
+        [
+            (["classical"], {"n": 4.7}, "n"),
+            (["level-stats", "--n", "3", "--epsilon", "0.1"], {"seed": 2.9}, "seed"),
+            (["level-stats", "--n", "3", "--epsilon", "0.1"], {"realizations": True}, "realizations"),
+            (["spectrum", "--n", "3", "--epsilon", "0.1"], {"periods": 5.5}, "periods"),
+            (["graph", "--n", "3", "--epsilon", "0.1"], {"seed": "7"}, "seed"),
+            (["walk", "--n", "3"], {"epsilon": ["0.1"]}, "epsilon"),
+            (["degree-fit", "degrees.csv"], {"n": 4.5}, "n"),
+            (["ensemble"], {**_ENSEMBLE_CONFIG, "params": {"n": 3.9}}, "n"),
+            (["ensemble"], {**_ENSEMBLE_CONFIG, "realizations": 1.5}, "realizations"),
+            (["ensemble"], {**_ENSEMBLE_CONFIG, "epsilons": 0.1}, "epsilons"),
+            (["ensemble"], {**_ENSEMBLE_CONFIG, "tasks": "graph"}, "tasks"),
+            (["ensemble"], {**_ENSEMBLE_CONFIG, "periods": "x"}, "periods"),
+        ],
+    )
+    def test_config_value_of_wrong_type_exits_1(self, argv, config, setting, tmp_path, capsys, monkeypatch):
+        # a value is checked by the object that owns it, never truncated or parsed
+        monkeypatch.chdir(tmp_path)
+        Path("degrees.csv").write_text("degree\n" + "\n".join(map(str, range(1, 60))) + "\n")
+        Path("cfg.json").write_text(json.dumps(config))
+        assert main(argv + ["--config", "cfg.json", "--out-dir", "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {setting} must be ")
+        assert err.count("\n") == 1
+        assert not Path("out").exists()
+
+    def test_config_out_dir_not_a_string_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({"n": 3, "out_dir": 5}))
+        assert main(["classical", "--config", "cfg.json"]) == 1
+        assert capsys.readouterr().err == "error: out_dir must be a string, got 5\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_config_format_rejected_before_writing(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -313,6 +351,17 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "warning: 1 spectrum blocks at T solved by Schur fallback" in err
         assert "warning: 1 spectrum blocks at 2T solved by Schur fallback" in err
+
+    def test_2T_branch_warnings_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
+        solve = dtcnet.cli.two_period_spectrum
+        monkeypatch.setattr(
+            dtcnet.cli, "two_period_spectrum",
+            lambda U, spectrum: dataclasses.replace(solve(U, spectrum), branch_warnings=("phase near the cut",)),
+        )
+        assert main(
+            ["simulate", "--n", "4", "--epsilon", "0.02", "--out-dir", str(tmp_path)]
+        ) == 0
+        assert capsys.readouterr().err == "warning: 2T: phase near the cut\n"
 
 
 class TestLevelStatsCommand:

@@ -49,6 +49,12 @@ class TestEnsembleSpec:
             {"periods": 1},
             {"epsilons": (0.1, float("nan"))},
             {"epsilons": (float("inf"),)},
+            # integer and number settings are checked, not converted
+            {"realizations": 1.5},
+            {"realizations": True},
+            {"seed": "7"},
+            {"periods": 5.5},
+            {"epsilons": ("0.1",)},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -119,6 +125,19 @@ class TestRunEnsemble:
         with tempfile.TemporaryDirectory() as tmp:
             with pytest.raises(ValueError):
                 run_ensemble(spec, out_dir=tmp)
+
+    def test_2T_branch_warnings_recorded(self, tmp_path, monkeypatch):
+        solve = dtcnet.ensemble.two_period_spectrum
+        monkeypatch.setattr(
+            dtcnet.ensemble, "two_period_spectrum",
+            lambda U, spectrum: replace(solve(U, spectrum), branch_warnings=("phase near the cut",)),
+        )
+        manifest = run_ensemble(_spec(epsilons=(0.1,)), out_dir=tmp_path)
+        assert manifest.branch_margin_warnings == [
+            {"epsilon": 0.1, "realization": 0, "warnings": ["2T: phase near the cut"]}
+        ]
+        on_disk = json.loads((Path(manifest.run_dir) / "manifest.json").read_text())
+        assert on_disk["branch_margin_warnings"] == manifest.branch_margin_warnings
 
     def test_walk_skipped_at_zero_error(self):
         spec = _spec(tasks=frozenset({"walk"}), seed=2)

@@ -63,6 +63,11 @@ class TestParams:
             {"n": 4, "alpha": 0.0},
             {"n": 4, "W": -0.1},
             {"n": 4, "epsilon": -0.01},
+            # integer and number settings are checked, not converted
+            {"n": 4.7},
+            {"n": "4"},
+            {"n": 4, "J0": "0.06"},
+            {"n": 4, "W": False},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -173,6 +178,11 @@ class TestDisorder:
         # mean of 10^4 uniform [0, W] draws: W/2 within 3 sigma
         sigma = params.W / np.sqrt(12.0) / np.sqrt(draws.size)
         assert abs(draws.mean() - params.W / 2.0) < 3.0 * sigma
+
+    @pytest.mark.parametrize("seed", [2.9, "7", True])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_disorder(SpinChainParams(n=4), seed, 0)
 
     def test_fields_within_range(self):
         params = SpinChainParams(n=8)
