@@ -192,6 +192,16 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _report_health(spectrum, tag: str) -> None:
+    """Print a spectrum's branch-cut warnings and Schur fallbacks on stderr, one line each."""
+    prefix = "" if tag == "T" else f"{tag}: "
+    for warning in spectrum.branch_warnings:
+        print(f"warning: {prefix}{warning}", file=sys.stderr)
+    if spectrum.schur_fallbacks:
+        print(f"warning: {spectrum.schur_fallbacks} spectrum blocks at {tag} solved by Schur fallback",
+              file=sys.stderr)
+
+
 def _cmd_simulate(args, config: dict) -> int:
     params = _params_from(args)
     (eps,) = _epsilons(args, single=True)
@@ -212,15 +222,8 @@ def _cmd_simulate(args, config: dict) -> int:
     np.save(out / "heff_2T_bch.npy", bch.matrix)
     levels = spectrum.quasienergies
     write_csv(out / "quasienergies.csv", "level,quasienergy", np.arange(levels.size), levels)
-    for tag, prefix, solved in (("T", "", spectrum), ("2T", "2T: ", spectrum_2T)):
-        for warning in solved.branch_warnings:
-            print(f"warning: {prefix}{warning}", file=sys.stderr)
-        if solved.schur_fallbacks:
-            print(
-                f"warning: {solved.schur_fallbacks} spectrum blocks at {tag} "
-                "solved by Schur fallback",
-                file=sys.stderr,
-            )
+    _report_health(spectrum, "T")
+    _report_health(spectrum_2T, "2T")
     print(f"wrote U.npy, heff_T.npy, heff_2T.npy, heff_2T_bch.npy, quasienergies.csv in {out}")
     return 0
 
@@ -235,23 +238,16 @@ def _cmd_graph(args, config: dict) -> int:
         raise CliError(f"unsupported format {fmt!r}; expected one of {_FLAGS['format']['choices']}")
     out = _out_dir(args)
 
-    graph = percolation_graph(
-        effective_hamiltonian(floquet_spectrum(drive_unitary(params, disorder)))
-    )
+    spectrum = floquet_spectrum(drive_unitary(params, disorder))
+    _report_health(spectrum, "T")
+    graph = percolation_graph(effective_hamiltonian(spectrum))
     tag = eps_tag(eps)
+    edges = f"edges-eps{tag}.csv" if fmt == "csv" else f"graph-eps{tag}.{fmt}"
     (out / f"nodes-eps{tag}.csv").write_bytes(export_nodes_csv(graph))
-    written = [f"nodes-eps{tag}.csv"]
-    if fmt == "csv":
-        (out / f"edges-eps{tag}.csv").write_bytes(export_graph(graph, "edge-csv"))
-        written.append(f"edges-eps{tag}.csv")
-    else:
-        suffix = "dot" if fmt == "dot" else "graphml"
-        (out / f"graph-eps{tag}.{suffix}").write_bytes(export_graph(graph, fmt))
-        written.append(f"graph-eps{tag}.{suffix}")
+    (out / edges).write_bytes(export_graph(graph, "edge-csv" if fmt == "csv" else fmt))
     sizes = clusters(graph).sizes
     write_csv(out / f"clusters-eps{tag}.csv", "cluster,size", np.arange(len(sizes)), sizes)
-    written.append(f"clusters-eps{tag}.csv")
-    print(f"wrote {', '.join(written)} in {out}")
+    print(f"wrote nodes-eps{tag}.csv, {edges}, clusters-eps{tag}.csv in {out}")
     return 0
 
 
@@ -306,7 +302,15 @@ def _spec(args, params, epsilons, task: str) -> EnsembleSpec:
 
 
 def _payloads(spec: EnsembleSpec) -> list[dict]:
-    return [realization_outputs(spec, r) for r in range(spec.realizations)]
+    """Each realization's payload; its warning records and notes go to stderr, one line each."""
+    payloads = [realization_outputs(spec, r) for r in range(spec.realizations)]
+    for p in payloads:
+        for record in p["warnings"]:
+            print(f"warning: eps={record['epsilon']:g} realization {record['realization']}: "
+                  f"{'; '.join(record['warnings'])}", file=sys.stderr)
+        for note in p["notes"]:
+            print(f"warning: {note}", file=sys.stderr)
+    return payloads
 
 
 def _cmd_level_stats(args, config: dict) -> int:

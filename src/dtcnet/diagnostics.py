@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from math import pi
 
 import numpy as np
-from scipy.integrate import quad
 
 from .floquet_core import FloquetOperator, drive_unitary, stroboscopic_evolve
 from .spin_hilbert import (
@@ -146,12 +145,16 @@ def reference_pdf(kind: str, r):
 
 def reference_normalization(kind: str) -> float:
     """Quadrature of the reference density over [0, 1] (should be ~1)."""
+    # imported on first use: with the scipy.special it loads, scipy.integrate
+    # and scipy.optimize make up a third of `import dtcnet`
+    from scipy.integrate import quad
     val, _ = quad(lambda r: reference_pdf(kind, r), 0.0, 1.0, limit=200)
     return float(val)
 
 
 def reference_mean(kind: str) -> float:
     """Mean of the reference density over [0, 1] by quadrature."""
+    from scipy.integrate import quad  # on first use, as in reference_normalization
     val, _ = quad(lambda r: r * reference_pdf(kind, r), 0.0, 1.0, limit=200)
     return float(val)
 

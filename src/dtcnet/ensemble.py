@@ -84,6 +84,7 @@ class EnsembleSpec:
             if tags.count(tag) > 1:
                 clash = [e for e, t in zip(self.epsilons, tags) if t == tag]
                 raise ValueError(f"epsilons {clash} share the output tag {tag!r}; their files would collide")
+        _check_tasks(self.tasks)
         unknown = set(self.tasks) - set(TASKS)
         if unknown:
             raise ValueError(f"unknown tasks {sorted(unknown)}; expected subset of {TASKS}")
@@ -100,6 +101,7 @@ class EnsembleSpec:
         for key in ("epsilons", "tasks"):
             if not isinstance(payload.get(key, []), list):
                 raise ValueError(f"{key} must be a JSON list, got {payload[key]!r}")
+        _check_tasks(payload.get("tasks", []))
         return cls(
             # only the settings given; the rest take the SpinChainParams defaults
             params=SpinChainParams(n=p["n"], **{key: p[key] for key in _CHAIN_KEYS if key in p}),
@@ -120,6 +122,11 @@ class EnsembleSpec:
             "tasks": sorted(self.tasks),
             "periods": self.periods,
         }
+
+
+def _check_tasks(tasks) -> None:
+    if not all(isinstance(task, str) for task in tasks):
+        raise ValueError(f"tasks must be strings, got {list(tasks)!r}")
 
 
 @dataclass(frozen=True)
@@ -169,19 +176,20 @@ def check_size(n: int) -> None:
         )
 
 
-def write_csv(path: Path, header: str, *columns) -> None:
+def write_csv(path: Path, header: str, *columns) -> Path:
     """Write the header line, then one comma-joined row per entry of the columns.
 
     Each column is an array, a list or a scalar repeated on every row.
     Float columns render as .12g and every other cell as str; this is
     the rendering of every CSV table. Zero-length columns write the
-    header alone.
+    header alone. Returns path.
     """
     arrays = np.broadcast_arrays(*(np.atleast_1d(c) for c in columns))
     row = ",".join("{:.12g}" if a.dtype.kind == "f" else "{}" for a in arrays) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
         fh.writelines(row.format(*cells) for cells in zip(*(a.tolist() for a in arrays)))
+    return path
 
 
 def eps_tag(eps: float) -> str:
@@ -302,8 +310,8 @@ def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
     notes += [note for p in payloads for note in p["notes"]]
     timings = {"map_s": round(time.perf_counter() - t_start, 3)}
 
-    def record(task: str, path: Path) -> None:
-        artifacts.setdefault(task, []).append(str(path))
+    def record(task: str, *paths: Path) -> None:
+        artifacts.setdefault(task, []).extend(map(str, paths))
 
     for eps in spec.epsilons:
         key = eps_tag(eps)
@@ -312,40 +320,43 @@ def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
             for tag, pick in (("T", 0), ("2T", 1)):
                 graphs = [p["graph"][key][pick] for p in payloads]
                 degrees = np.concatenate([g.degrees for g in graphs])
-                _write_fit_outputs(run_dir, f"{tag}-eps{key}", eps, spec.params.n, degrees, record, notes)
+                sample = f"{tag}-eps{key}"
+                try:
+                    hist = log_binned_histogram(degrees)
+                except ValueError as exc:
+                    notes.append(f"degree-histogram skipped ({sample}): {exc}")
+                else:
+                    record("graph", write_csv(run_dir / f"degree-hist-{sample}.csv", "bin_lo,bin_hi,density",
+                                              hist.bin_edges[:-1], hist.bin_edges[1:], hist.densities))
+                try:
+                    fit, verdict = degree_fit(degrees)
+                except ValueError as exc:
+                    notes.append(f"degree-fit skipped ({sample}): {exc}")
+                else:
+                    record("graph", write_degree_fit(run_dir / f"degree-fit-{sample}.csv",
+                                                     eps, spec.params.n, fit, verdict))
                 table = avg_degree_by_domain_walls(graphs)
                 means, stds = zip(*table.values())
-                path = run_dir / f"walls-{tag}-eps{key}.csv"
-                write_csv(
-                    path,
-                    "epsilon,walls,mean_degree,std_degree,realizations",
-                    eps, list(table), means, stds, len(graphs),
-                )
-                record("graph", path)
+                record("graph", write_csv(run_dir / f"walls-{sample}.csv",
+                                          "epsilon,walls,mean_degree,std_degree,realizations",
+                                          eps, list(table), means, stds, len(graphs)))
 
         if "levelstats" in spec.tasks:
             ratios = np.concatenate([p["levelstats"][key][0] for p in payloads])
             excluded = sum(p["levelstats"][key][1] for p in payloads)
             if excluded:
                 notes.append(f"levelstats eps={eps:g}: {excluded} degenerate gaps excluded")
-            path = run_dir / f"gap-ratios-eps{key}.csv"
-            write_gap_ratio_table(path, ratios)
-            record("levelstats", path)
+            record("levelstats", write_gap_ratio_table(run_dir / f"gap-ratios-eps{key}.csv", ratios))
 
         if "spectrum" in spec.tasks:
-            path = run_dir / f"fidelity-eps{key}.csv"
-            write_fidelity_table(path, payloads, [eps])
-            record("spectrum", path)
+            record("spectrum", write_fidelity_table(run_dir / f"fidelity-eps{key}.csv", payloads, [eps]))
 
         if "walk" in spec.tasks and eps > 0.0:
             for r, p in enumerate(payloads):
-                for path in write_walk_tables(run_dir, f"eps{key}-r{r}", *p["walk"][key]):
-                    record("walk", path)
+                record("walk", *write_walk_tables(run_dir, f"eps{key}-r{r}", *p["walk"][key]))
 
     if "classical" in spec.tasks:
-        path = run_dir / "classical.csv"
-        write_classical_table(path, spec.params)
-        record("classical", path)
+        record("classical", write_classical_table(run_dir / "classical.csv", spec.params))
 
     timings["total_s"] = round(time.perf_counter() - t_start, 3)
     manifest = RunManifest(
@@ -382,26 +393,6 @@ def _fresh_run_dir(out_dir: Path, seed: int) -> Path:
             continue
 
 
-def _write_fit_outputs(run_dir: Path, tag: str, eps: float, n: int, degrees, record, notes) -> None:
-    """Degree histogram plus power-law fit row for one pooled sample."""
-    try:
-        hist = log_binned_histogram(degrees)
-    except ValueError as exc:
-        notes.append(f"degree-histogram skipped ({tag}): {exc}")
-    else:
-        path = run_dir / f"degree-hist-{tag}.csv"
-        write_csv(path, "bin_lo,bin_hi,density", hist.bin_edges[:-1], hist.bin_edges[1:], hist.densities)
-        record("graph", path)
-    try:
-        fit, verdict = degree_fit(degrees)
-    except ValueError as exc:
-        notes.append(f"degree-fit skipped ({tag}): {exc}")
-    else:
-        path = run_dir / f"degree-fit-{tag}.csv"
-        write_degree_fit(path, eps, n, fit, verdict)
-        record("graph", path)
-
-
 def degree_fit(degrees):
     """Power-law tail fit and its lognormal comparison, as (fit, verdict).
 
@@ -411,22 +402,22 @@ def degree_fit(degrees):
     return fit, lognormal_lr_test(degrees, fit)
 
 
-def write_degree_fit(path: Path, eps: float, n: int, fit, verdict) -> None:
+def write_degree_fit(path: Path, eps: float, n: int, fit, verdict) -> Path:
     """The one-row table of a degree_fit result."""
-    write_csv(
+    return write_csv(
         path,
         "epsilon,n,beta,k_min,ks,n_tail,favored",
         eps, n, fit.beta, fit.k_min, fit.ks, fit.n_tail, verdict.favored,
     )
 
 
-def write_gap_ratio_table(path: Path, ratios: np.ndarray) -> None:
+def write_gap_ratio_table(path: Path, ratios: np.ndarray) -> Path:
     """Gap-ratio density on GAP_HISTOGRAM_BINS bins with Poisson and COE overlays."""
     edges = np.linspace(0.0, 1.0, GAP_HISTOGRAM_BINS + 1)
     counts, _ = np.histogram(ratios, bins=edges)
     density = counts / (max(ratios.size, 1) * (edges[1] - edges[0]))
     mids = 0.5 * (edges[:-1] + edges[1:])
-    write_csv(
+    return write_csv(
         path,
         "r_lo,r_hi,density,reference_poisson,reference_coe",
         edges[:-1], edges[1:], density,
@@ -435,7 +426,7 @@ def write_gap_ratio_table(path: Path, ratios: np.ndarray) -> None:
     )
 
 
-def write_fidelity_table(path: Path, payloads: list[dict], epsilons) -> None:
+def write_fidelity_table(path: Path, payloads: list[dict], epsilons) -> Path:
     """Spectral fidelity per configuration and epsilon, averaged over realizations.
 
     Each mean runs over the realizations where the fidelity is finite
@@ -449,7 +440,7 @@ def write_fidelity_table(path: Path, payloads: list[dict], epsilons) -> None:
         sums = np.where(finite, stack, 0.0).sum(axis=0)
         means.append(np.divide(sums, counts, out=np.full(stack.shape[1], np.nan), where=counts > 0))
     configs = means[0].size
-    write_csv(
+    return write_csv(
         path,
         "config,epsilon,fidelity",
         np.tile(np.arange(configs), len(means)), np.repeat(epsilons, configs), np.concatenate(means),
@@ -465,13 +456,13 @@ def write_walk_tables(out: Path, suffix: str, prs, populations) -> list[Path]:
     return [pr_path, walk_path]
 
 
-def write_classical_table(path: Path, params: SpinChainParams) -> None:
+def write_classical_table(path: Path, params: SpinChainParams) -> Path:
     """Energy and fixed-point stability of every classical corner configuration."""
     n = params.n
     bits = [format(index, f"0{n}b") for index in range(2**n)]
     corners = [ClassicalConfiguration(thetas=np.array([0.0 if b == "1" else pi for b in c])) for c in bits]
     reports = [classify_fixed_point(jacobian(config, params)) for config in corners]
-    write_csv(
+    return write_csv(
         path,
         "configuration,energy,min_eigenvalue,max_eigenvalue,classification",
         bits,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import erfc, log, pi, sqrt
 
 import numpy as np
-from scipy.optimize import minimize
 
 __all__ = [
     "DegreeHistogram",
@@ -232,6 +231,9 @@ def lognormal_lr_test(degrees, fit: PowerLawFit) -> LikelihoodRatioResult:
         raise ValueError(
             f"insufficient tail: {tail.size} samples >= {fit.k_min}, need {MIN_TAIL}"
         )
+    # imported on first use: with the scipy.special it loads, scipy.optimize
+    # and scipy.integrate make up a third of `import dtcnet`
+    from scipy.optimize import minimize
     x_min = fit.k_min - 0.5
     log_tail = np.log(tail)
 
@@ -289,19 +291,12 @@ def avg_degree_by_domain_walls(ensemble) -> dict[int, tuple[float, float]]:
     dict
         wall count -> (mean degree, population standard deviation).
     """
-    pooled: dict[int, list[np.ndarray]] = {}
-    num_nodes = None
-    for graph in ensemble:
-        if num_nodes is None:
-            num_nodes = graph.num_nodes
-        elif graph.num_nodes != num_nodes:
-            raise ValueError("graphs in the ensemble differ in node count")
-        walls = graph.domain_walls
-        for w in np.unique(walls):
-            pooled.setdefault(int(w), []).append(graph.degrees[walls == w])
-    if num_nodes is None:
+    graphs = list(ensemble)
+    if not graphs:
         raise ValueError("empty ensemble")
-    return {
-        w: (float(np.concatenate(parts).mean()), float(np.concatenate(parts).std()))
-        for w, parts in sorted(pooled.items())
-    }
+    if any(graph.num_nodes != graphs[0].num_nodes for graph in graphs):
+        raise ValueError("graphs in the ensemble differ in node count")
+    walls = np.concatenate([graph.domain_walls for graph in graphs])
+    degrees = np.concatenate([graph.degrees for graph in graphs])
+    pools = {int(w): degrees[walls == w] for w in np.unique(walls)}  # graph by graph, node by node
+    return {w: (float(pool.mean()), float(pool.std())) for w, pool in pools.items()}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -111,12 +110,11 @@ def percolation_graph(H: EffectiveHamiltonian) -> PercolationGraph:
 
     energies = np.real(np.diag(matrix))
     # evaluate on the upper triangle only so roundoff asymmetry in
-    # |K_ij| vs |K_ji| cannot desymmetrize the edge set
+    # |K_ij| vs |K_ji| cannot desymmetrize the edge set; abs_k is zero
+    # elsewhere and gap >= 0, so only pairs i < j can be active
     abs_k = np.abs(np.triu(matrix, k=1))
     gap = np.abs(energies[:, None] - energies[None, :])
-    active = abs_k > np.triu(gap, k=1)
-    np.fill_diagonal(active, False)
-    rows, cols = np.nonzero(active)
+    rows, cols = np.nonzero(abs_k > gap)
     return PercolationGraph(
         num_nodes=dim,
         rows=rows,
@@ -213,7 +211,7 @@ def _to_graphml(g: PercolationGraph) -> bytes:
     ]
     for i in range(g.num_nodes):
         out.append(f'    <node id="n{i}">')
-        out.append(f'      <data key="label">{escape(format(i, f"0{width}b"))}</data>')
+        out.append(f'      <data key="label">{format(i, f"0{width}b")}</data>')
         out.append(f'      <data key="domain_walls">{int(g.domain_walls[i])}</data>')
         out.append(f'      <data key="degree">{int(g.degrees[i])}</data>')
         out.append("    </node>")

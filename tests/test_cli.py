@@ -143,6 +143,8 @@ class TestValidation:
             (["ensemble"], {**_ENSEMBLE_CONFIG, "epsilons": 0.1}, "epsilons"),
             (["ensemble"], {**_ENSEMBLE_CONFIG, "tasks": "graph"}, "tasks"),
             (["ensemble"], {**_ENSEMBLE_CONFIG, "periods": "x"}, "periods"),
+            (["ensemble"], {**_ENSEMBLE_CONFIG, "tasks": [["graph"]]}, "tasks"),
+            (["ensemble"], {**_ENSEMBLE_CONFIG, "tasks": ["bogus", 5]}, "tasks"),
         ],
     )
     def test_config_value_of_wrong_type_exits_1(self, argv, config, setting, tmp_path, capsys, monkeypatch):
@@ -319,6 +321,15 @@ class TestGraphCommand:
         _, cbody = _read_csv(tmp_path / "clusters-eps0p05.csv")
         assert sum(int(s) for _, s in cbody) == 32
 
+    def test_schur_fallback_reported_on_stderr(self, tmp_path, capsys, skewed_eigh):
+        assert main(
+            ["graph", "--n", "4", "--epsilon", "0.02", "--out-dir", str(tmp_path)]
+        ) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: 1 spectrum blocks at T solved by Schur fallback\n"
+        written = "nodes-eps0p02.csv, edges-eps0p02.csv, clusters-eps0p02.csv"
+        assert captured.out == f"wrote {written} in {tmp_path}\n"
+
 
 class TestSimulateCommand:
     def test_writes_propagator_and_effective_hamiltonians(self, tmp_path):
@@ -405,6 +416,21 @@ class TestLevelStatsCommand:
         assert capsys.readouterr().out == "eps=0: no gap ratios remain\n"
         _, body = _read_csv(tmp_path / "gap-ratios-eps0.csv")
         assert all(float(row[2]) == 0.0 for row in body)
+
+    def test_spectrum_health_reported_on_stderr(self, tmp_path, capsys, monkeypatch, skewed_eigh):
+        # one Schur fallback note and one branch-cut record, each naming epsilon and realization
+        solve = dtcnet.ensemble.floquet_spectrum
+        monkeypatch.setattr(
+            dtcnet.ensemble, "floquet_spectrum",
+            lambda U: dataclasses.replace(solve(U), branch_warnings=("phase near the cut",)),
+        )
+        assert main(
+            ["level-stats", "--n", "4", "--epsilon", "0.02", "--out-dir", str(tmp_path)]
+        ) == 0
+        assert capsys.readouterr().err == (
+            "warning: eps=0.02 realization 0: phase near the cut\n"
+            "warning: eps=0.02 realization 0 T: 1 spectrum blocks solved by Schur fallback\n"
+        )
 
 
 class TestSpectrumCommand:
@@ -664,6 +690,18 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert (tmp_path / written).exists()
+
+    def test_import_leaves_optimize_and_integrate_unloaded(self):
+        # both load on first use only; together they were a third of the import time
+        probe = (
+            "import sys, dtcnet, dtcnet.cli; "
+            "print(sorted({'scipy.optimize', 'scipy.integrate'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=_child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_entry_point_propagates_validation_exit(self):
         proc = _console_script(["graph", "--n", "4", "--epsilon", "oops"])

@@ -55,6 +55,7 @@ class TestEnsembleSpec:
             {"seed": "7"},
             {"periods": 5.5},
             {"epsilons": ("0.1",)},
+            {"tasks": frozenset({"bogus", 5})},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -243,6 +244,15 @@ class TestRunHygiene:
             "eps=0.1 realization 0 T: 1 spectrum blocks solved by Schur fallback",
             "eps=0.1 realization 0 2T: 1 spectrum blocks solved by Schur fallback",
         ]
+
+    def test_every_written_table_is_listed(self, tmp_path):
+        spec = _spec(
+            params=SpinChainParams(n=4), epsilons=(0.0, 0.1), realizations=2, tasks=frozenset(dtcnet.TASKS)
+        )
+        manifest = run_ensemble(spec, out_dir=tmp_path)
+        listed = [Path(p) for paths in manifest.artifacts.values() for p in paths]
+        assert sorted(listed) == sorted(Path(manifest.run_dir).glob("*.csv"))
+        assert len(listed) == len(set(listed)) > 10
 
     def test_no_fallback_note_without_fallbacks(self, tmp_path):
         manifest = run_ensemble(_spec(epsilons=(0.1,)), out_dir=tmp_path)

@@ -225,8 +225,30 @@ class TestAvgDegreeByDomainWalls:
             assert mean == pytest.approx(7.0)
 
     def test_mismatched_sizes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="differ in node count"):
             avg_degree_by_domain_walls([self._dimer_graph(3), self._dimer_graph(4)])
+
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ValueError, match="empty ensemble"):
+            avg_degree_by_domain_walls([])
+
+    def test_matches_graph_wise_pooling_exactly(self):
+        # the pools keep the graph-by-graph, node-by-node order, so the
+        # float sums, and hence means and stds, are bit for bit the same
+        rng = np.random.default_rng(3)
+        graphs = []
+        for _ in range(4):
+            A = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+            H = (A + A.conj().T) / 2 + np.diag(rng.normal(scale=8.0, size=32))
+            graphs.append(percolation_graph(EffectiveHamiltonian(matrix=H, period=2.0)))
+        walls = graphs[0].domain_walls
+        expected = {
+            int(w): np.concatenate([g.degrees[walls == w] for g in graphs]) for w in np.unique(walls)
+        }
+        table = avg_degree_by_domain_walls(graphs)
+        assert list(table) == sorted(expected)
+        for w, pool in expected.items():
+            assert table[w] == (float(pool.mean()), float(pool.std()))
 
     def test_pooling_over_realizations(self):
         # one dimer graph plus one complete graph: per-class mean is the
