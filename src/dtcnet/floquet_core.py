@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -52,9 +53,9 @@ DEGENERACY_TOL = 1e-10
 # folding of lambda is numerically unstable there.
 BRANCH_MARGIN = 1e-10
 ORTHONORMALITY_TOL = 1e-12
-# Block eigensolver (see _block_eigensystem). The rotation angle is
-# generic, so that no symmetry of the drive places eigenphase pairs
-# symmetrically about it.
+# Eigensolvers (see _block_eigensystem and _symmetrized_eigensystem).
+# The rotation angle is generic, so that no symmetry of the drive
+# places eigenphase pairs symmetrically about it.
 SPECTRAL_ROTATION = 0.6180339887498949
 # Runs of rotated-Hermitian-part eigenvalues closer than this fraction of
 # their mean spacing 2/dim are re-split as one cluster. eigh mixes two
@@ -63,7 +64,7 @@ SPECTRAL_ROTATION = 0.6180339887498949
 # together; re-splitting the close runs keeps the residual at the
 # Schur level (~1e-14 at n = 8 and 10).
 CLUSTER_SPACING = 0.25
-# Largest max |B Z - Z mu| a block solve may leave before Schur takes over.
+# Largest max |B Z - Z mu| an eigh solve may leave before Schur takes over.
 RESIDUAL_TOL = 1e-10
 # Deviation allowed when verifying the rigid drive shape (uniform
 # transverse pulse, diagonal Ising step) that the closed-form
@@ -95,20 +96,12 @@ class FloquetOperator:
     def apply(self, states: np.ndarray) -> np.ndarray:
         """U states, for one state vector or a block of state columns.
 
-        With factors, R^(x n) = A (x) B with A = R^(x floor(n/2)) and
-        B = R^(x ceil(n/2)), so the product is one A @ X on the
-        (dA, dB k) view of the states and one batched B @ on the
-        (dA, dB, k) view (the Kronecker shuffle product; Fernandes,
-        Plateau and Stewart, J. ACM 45, 381 (1998)), then the phase:
-        O(dim k (dA + dB)) work instead of O(dim^2 k).
+        With factors, R^(x n) acts by one factored product (_kron_apply),
+        then the phase: O(dim k (dA + dB)) work instead of O(dim^2 k).
         """
         if self.phase is None:
             return self.matrix @ states
-        n = self.dim.bit_length() - 1
-        A, B = _kron_power(self.rotation, n // 2), _kron_power(self.rotation, n - n // 2)
-        X = np.asarray(states).reshape(A.shape[0], -1)
-        Y = np.matmul(B, (A @ X).reshape(A.shape[0], B.shape[0], -1))
-        Y = Y.reshape(np.shape(states))
+        Y = _kron_apply(self.rotation, states)
         Y *= self.phase if Y.ndim == 1 else self.phase[:, None]
         return Y
 
@@ -122,7 +115,10 @@ class FloquetSpectrum:
     schur_fallbacks counts the blocks whose eigensolve failed its
     residual or orthonormality gate and were solved by Schur instead;
     a two_period_spectrum that reuses U's eigenpairs has U's blocks and
-    U's count.
+    U's count. residual (max |B Z - Z mu|) and gram_defect
+    (max |Z^H Z - 1|) are the largest over the blocks, from whichever
+    solver produced each block's eigenpairs; a reusing two_period_spectrum
+    carries U's values too.
     """
 
     quasienergies: np.ndarray
@@ -131,6 +127,18 @@ class FloquetSpectrum:
     period: float
     branch_warnings: tuple[str, ...] = ()
     schur_fallbacks: int = 0
+    residual: float = 0.0
+    gram_defect: float = 0.0
+
+
+class _Eigensystem(NamedTuple):
+    """One block's eigenpairs and the health of the solve that gave them."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    fallback: bool
+    residual: float
+    gram_defect: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,6 +229,21 @@ def _kron_power(rot: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _kron_apply(rot: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """rot^(x n) states, for one vector or a block of columns of length 2^n.
+
+    rot^(x n) = A (x) B with A = rot^(x floor(n/2)) and B = rot^(x ceil(n/2)),
+    so the product is one A @ X on the (dA, dB k) view of the states and
+    one batched B @ on the (dA, dB, k) view (the Kronecker shuffle
+    product; Fernandes, Plateau and Stewart, J. ACM 45, 381 (1998)).
+    """
+    n = np.shape(states)[0].bit_length() - 1
+    A, B = _kron_power(rot, n // 2), _kron_power(rot, n - n // 2)
+    X = np.asarray(states).reshape(A.shape[0], -1)
+    Y = np.matmul(B, (A @ X).reshape(A.shape[0], B.shape[0], -1))
+    return Y.reshape(np.shape(states))
+
+
 def drive_unitary(params: SpinChainParams, disorder: DisorderRealization) -> FloquetOperator:
     """One-period propagator of the drive, built straight from its parameters.
 
@@ -243,38 +266,43 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
     """Diagonalize a unitary propagator block by block.
 
     The support graph of |U_ij| > SUPPORT_TOL is split into connected
-    components and each block B is solved on its own (see
-    _block_eigensystem): one Hermitian eigensolve of a rotated
-    Hermitian part of B, a small Schur re-split of each run of close
-    eigenvalues, and a residual and orthonormality gate that sends a
-    failing block to a complex Schur decomposition instead. Decoupled
-    blocks therefore never mix: at zero rotation error the
-    mirror-symmetric dimer pairs are exactly degenerate, and a dense
-    solver would rotate them into each other at machine precision,
-    producing spurious couplings. Eigenvectors across blocks have
-    disjoint support, hence exact zeros in the effective Hamiltonian.
+    components (_support_labels). A factored one-period U that is one
+    component is solved by one real orthogonal eigensolve of its
+    symmetrized form (_symmetrized_eigensystem). Every other block B
+    (the epsilon = 0 dimers, U^2, hand-made operators) is solved on its
+    own (_block_eigensystem): one Hermitian eigensolve of a rotated
+    Hermitian part of B. Both solvers re-split each run of close
+    eigenvalues by a small Schur, and both gate the result on its
+    residual and orthonormality, sending a failing block to a complex
+    Schur decomposition instead. Decoupled blocks therefore never mix:
+    at zero rotation error the mirror-symmetric dimer pairs are exactly
+    degenerate, and a dense solver would rotate them into each other at
+    machine precision, producing spurious couplings. Eigenvectors across
+    blocks have disjoint support, hence exact zeros in the effective
+    Hamiltonian.
     """
     U = op.matrix
     dim = U.shape[0]
     if U.shape != (dim, dim):
         raise ValueError("propagator must be square")
-    n_comp, labels = _support_components(U)
-    fallbacks = 0
+    n_comp, labels = _support_labels(op)
     if n_comp == 1:
-        eigenvalues, states, fell_back = _block_eigensystem(U)
-        fallbacks += fell_back
+        solved = [_symmetrized_eigensystem(op) if op.phase is not None else _block_eigensystem(U)]
+        eigenvalues, states = solved[0].values, solved[0].vectors
     else:
         eigenvalues = np.zeros(dim, dtype=complex)
         states = np.zeros((dim, dim), dtype=complex)
-        col = 0
+        solved, col = [], 0
         for comp in range(n_comp):
             idx = np.flatnonzero(labels == comp)
-            mu, z, fell_back = _block_eigensystem(U[np.ix_(idx, idx)])
-            eigenvalues[col : col + idx.size] = mu
-            states[idx, col : col + idx.size] = z
-            fallbacks += fell_back
+            block = _block_eigensystem(U[np.ix_(idx, idx)])
+            eigenvalues[col : col + idx.size] = block.values
+            states[idx, col : col + idx.size] = block.vectors
+            solved.append(block)
             col += idx.size
-    return _sorted_spectrum(eigenvalues, states, op.period, fallbacks)
+    fallbacks = sum(b.fallback for b in solved)
+    residual, gram_defect = max(b.residual for b in solved), max(b.gram_defect for b in solved)
+    return _sorted_spectrum(eigenvalues, states, op.period, fallbacks, residual, gram_defect)
 
 
 def two_period_spectrum(op: FloquetOperator, spectrum: FloquetSpectrum) -> FloquetSpectrum:
@@ -290,11 +318,30 @@ def two_period_spectrum(op: FloquetOperator, spectrum: FloquetSpectrum) -> Floqu
     if spectrum.states.shape[0] != op.dim or spectrum.period != op.period:
         raise ValueError("spectrum does not belong to this propagator")
     squared = squared_floquet(op)
-    if not np.array_equal(_support_components(op.matrix)[1], _support_components(squared.matrix)[1]):
+    if not np.array_equal(_support_labels(op)[1], _support_components(squared.matrix)[1]):
         return floquet_spectrum(squared)
-    return _sorted_spectrum(
-        spectrum.eigenvalues**2, spectrum.states, squared.period, spectrum.schur_fallbacks
-    )
+    health = (spectrum.schur_fallbacks, spectrum.residual, spectrum.gram_defect)
+    return _sorted_spectrum(spectrum.eigenvalues**2, spectrum.states, squared.period, *health)
+
+
+def _support_labels(op: FloquetOperator) -> tuple[int, np.ndarray]:
+    """_support_components(op.matrix), read off the factors where they decide it.
+
+    A factored U has |U_ij| = |sin theta|^d |cos theta|^(n-d) at Hamming
+    distance d. It is one component when the d = 1 entries clear
+    SUPPORT_TOL (single flips connect every configuration), or when the
+    d = n - 1 and d = n entries do (i to its complement, then to i with
+    one bit flipped), each by a factor 2 that the roundoff in U's entries
+    cannot bridge. Otherwise (the epsilon = 0 dimers, epsilon near 1,
+    operators without factors) the support is scanned.
+    """
+    if op.phase is not None:
+        n = op.dim.bit_length() - 1
+        c, s = np.abs(op.rotation[0])
+        tol = 2.0 * SUPPORT_TOL
+        if s * c ** (n - 1) > tol or min(s ** (n - 1) * c, s**n) > tol:
+            return 1, np.zeros(op.dim, dtype=np.int32)
+    return _support_components(op.matrix)
 
 
 def _support_components(U: np.ndarray) -> tuple[int, np.ndarray]:
@@ -303,7 +350,8 @@ def _support_components(U: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _sorted_spectrum(
-    eigenvalues: np.ndarray, states: np.ndarray, period: float, fallbacks: int
+    eigenvalues: np.ndarray, states: np.ndarray, period: float,
+    fallbacks: int, residual: float, gram_defect: float,
 ) -> FloquetSpectrum:
     """Quasienergies -arg(mu)/period, folded, flagged near the cut and sorted.
 
@@ -332,25 +380,24 @@ def _sorted_spectrum(
         period=period,
         branch_warnings=warnings,
         schur_fallbacks=fallbacks,
+        residual=residual,
+        gram_defect=gram_defect,
     )
 
 
-def _block_eigensystem(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+def _block_eigensystem(B: np.ndarray) -> _Eigensystem:
     """Eigenvalues and orthonormal eigenvectors of one unitary block.
 
     A = (e^{-i phi} B + e^{i phi} B^H)/2 with phi = SPECTRAL_ROTATION is
     Hermitian, shares B's eigenvectors and has eigenvalues
-    cos(arg mu - phi). One eigh of A gives the basis Z. A run of A
-    eigenvalues closer than CLUSTER_SPACING times their mean spacing
-    may hold eigenphases the cosine folds together, so each run's
-    columns Z_c are re-split by a complex Schur of Z_c^H B Z_c. The
-    eigenvalues are mu = diag(Z^H B Z). A block whose residual
-    max |B Z - Z mu| exceeds RESIDUAL_TOL, or whose Gram defect exceeds
-    ORTHONORMALITY_TOL, is solved by complex Schur instead; the third
-    return value says whether that happened.
+    cos(arg mu - phi). One eigh of A gives the basis Z, and _resplit
+    re-splits its close runs and reads off mu = diag(Z^H B Z). A block
+    whose residual max |B Z - Z mu| exceeds RESIDUAL_TOL, or whose Gram
+    defect exceeds ORTHONORMALITY_TOL, is solved by complex Schur
+    instead.
     """
     if B.shape[0] == 1:
-        return B[0].copy(), np.ones((1, 1), dtype=complex), False
+        return _Eigensystem(B[0].copy(), np.ones((1, 1), dtype=complex), False, 0.0, 0.0)
     rot = np.exp(-1j * SPECTRAL_ROTATION)
     # built as A^T in row-major order, which is A in the column-major
     # order LAPACK overwrites in place with the eigenvectors
@@ -360,21 +407,95 @@ def _block_eigensystem(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     At *= 0.5
     w, Z = scipy.linalg.eigh(At.T, overwrite_a=True, check_finite=False, driver="evd")
     BZ = B @ Z
+    mu, residual = _resplit(w, Z, BZ)
+    del BZ  # before the Gram matrix is allocated, to keep the peak low
+    return _gated(mu, Z, residual, B)
+
+
+def _symmetrized_eigensystem(op: FloquetOperator) -> _Eigensystem:
+    """Eigenpairs of a factored one-period U from one real orthogonal eigensolve.
+
+    Both drive steps are complex symmetric in the configuration basis,
+    so with S = (R^(1/2))^(x n) the symmetrized propagator
+    U_s = S U S^H = S diag(phase) S is a symmetric unitary. Its real and
+    imaginary parts are real symmetric and commute, and a real
+    orthogonal O diagonalizes it: the structure of Dyson's circular
+    orthogonal ensemble (Dyson, J. Math. Phys. 3, 140 (1962); Haake,
+    Quantum Signatures of Chaos). One real eigh of
+    Re(e^{-i phi} U_s), which is _block_eigensystem's A for B = U_s,
+    gives O; _resplit re-splits its close runs and reads off
+    mu = diag(O^H U_s O); and U's eigenvectors are V = S^H O. S enters
+    only through factored products. The gates are U_s's residual, which
+    is U's up to the roundoff of one unitary product, and V's Gram
+    defect; if either fails, U is solved by complex Schur.
+    """
+    # R = exp(-i theta sigma^x) on one spin, and S = exp(-i theta/2 sigma^x)
+    half = 0.5 * np.arctan2(-op.rotation[0, 1].imag, op.rotation[0, 0].real)
+    S = np.array([[np.cos(half), -1j * np.sin(half)], [-1j * np.sin(half), np.cos(half)]])
+    # each temporary is dropped once used, so the solve holds no more
+    # dim x dim arrays at a time than _block_eigensystem does
+    PS = _kron_apply(S, np.diag(op.phase)).T.copy()  # diag(phase) S, row-major
+    Us = _kron_apply(S, PS)
+    del PS
+    A = np.cos(SPECTRAL_ROTATION) * Us.real
+    A += np.sin(SPECTRAL_ROTATION) * Us.imag
+    # A is symmetric: A^T is the column-major array LAPACK overwrites with O
+    w, O = scipy.linalg.eigh(A.T, overwrite_a=True, check_finite=False, driver="evd")
+    del A
+    # U_s O = (O^T U_s)^T for symmetric U_s: one real product over the
+    # (re, im) pairs of U_s instead of a complex one
+    BZ = (O.T @ Us.view(np.float64)).view(complex).T
+    del Us
+    Z = O.astype(complex, order="C")  # row-major, so S^H Z reshapes without a copy
+    del O
+    mu, residual = _resplit(w, Z, BZ)
+    del BZ
+    V = _kron_apply(S.conj(), Z)
+    del Z
+    return _gated(mu, V, residual, op.matrix)
+
+
+def _resplit(w: np.ndarray, Z: np.ndarray, BZ: np.ndarray) -> tuple[np.ndarray, float]:
+    """mu = diag(Z^H B Z) and max |B Z - Z mu| after re-splitting close runs.
+
+    w are the eigh eigenvalues behind the columns of Z, and BZ = B Z. A
+    run of w closer than CLUSTER_SPACING times their mean spacing may
+    hold eigenphases the cosine folds together, so each run's columns
+    Z_c are re-split by a complex Schur of Z_c^H B Z_c. Z and BZ are
+    updated in place; BZ is left holding B Z - Z mu.
+    """
     for start, stop in _runs(w, CLUSTER_SPACING * 2.0 / w.size):
         _, q = scipy.linalg.schur(Z[:, start:stop].conj().T @ BZ[:, start:stop], output="complex")
         Z[:, start:stop] = Z[:, start:stop] @ q
         BZ[:, start:stop] = BZ[:, start:stop] @ q
     mu = np.einsum("ij,ij->j", Z.conj(), BZ)
     BZ -= Z * mu
-    residual = np.abs(BZ).max()
-    del BZ  # before the Gram matrix is allocated, to keep the peak low
+    return mu, float(np.abs(BZ).max())
+
+
+def _gated(mu: np.ndarray, Z: np.ndarray, residual: float, B: np.ndarray) -> _Eigensystem:
+    """The eigh eigenpairs (mu, Z) if both gates pass, else a complex Schur solve of B.
+
+    The gates are residual <= RESIDUAL_TOL and the Gram defect of Z
+    within ORTHONORMALITY_TOL. The health fields describe the eigenpairs
+    returned.
+    """
+    gram_defect = _gram_defect(Z)
+    if residual <= RESIDUAL_TOL and gram_defect <= ORTHONORMALITY_TOL:
+        return _Eigensystem(mu, Z, False, residual, gram_defect)
+    tmat, z = scipy.linalg.schur(B, output="complex")
+    mu = np.diag(tmat).copy()
+    Bz = B @ z
+    Bz -= z * mu
+    return _Eigensystem(mu, z, True, float(np.abs(Bz).max()), _gram_defect(z))
+
+
+def _gram_defect(Z: np.ndarray) -> float:
+    """max |Z^H Z - 1|."""
     # Z^H Z, upper triangle only; the lower one is left zero
     gram = scipy.linalg.blas.zherk(1.0, Z, trans=2)
     gram[np.diag_indices_from(gram)] -= 1.0
-    if residual <= RESIDUAL_TOL and np.abs(gram).max() <= ORTHONORMALITY_TOL:
-        return mu, Z, False
-    tmat, z = scipy.linalg.schur(B, output="complex")
-    return np.diag(tmat).copy(), z, True
+    return float(np.abs(gram).max())
 
 
 def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:

@@ -301,6 +301,128 @@ class TestBlockEigensolver:
         assert np.array_equal(spectrum.states, reference.states)
 
 
+def _record_solvers(monkeypatch) -> list[tuple[str, int]]:
+    """Wrap both eigensolvers so each call is logged as (solver, size)."""
+    calls = []
+    real_block = floquet_core._block_eigensystem
+    real_symmetrized = floquet_core._symmetrized_eigensystem
+
+    def block(B):
+        calls.append(("block", B.shape[0]))
+        return real_block(B)
+
+    def symmetrized(op):
+        calls.append(("symmetrized", op.dim))
+        return real_symmetrized(op)
+
+    monkeypatch.setattr(floquet_core, "_block_eigensystem", block)
+    monkeypatch.setattr(floquet_core, "_symmetrized_eigensystem", symmetrized)
+    return calls
+
+
+class TestSymmetrizedSolver:
+    """The real orthogonal solve of a factored one-period U."""
+
+    def test_routing(self, monkeypatch):
+        calls = _record_solvers(monkeypatch)
+        params = SpinChainParams(n=6, epsilon=0.012)
+        U = drive_unitary(params, sample_disorder(params, 3, 0))
+        floquet_spectrum(U)
+        assert calls == [("symmetrized", 64)]
+        calls.clear()
+        floquet_spectrum(squared_floquet(U))
+        assert calls == [("block", 64)]
+        calls.clear()
+        zero = SpinChainParams(n=6, epsilon=0.0)
+        floquet_spectrum(drive_unitary(zero, sample_disorder(zero, 3, 0)))
+        assert calls == [("block", 2)] * 32
+        calls.clear()
+        hand_made = FloquetOperator(matrix=U.matrix.copy(), period=U.period, params_hash="test")
+        floquet_spectrum(hand_made)
+        assert calls == [("block", 64)]
+
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    @pytest.mark.parametrize("eps", [0.005, 0.5, 0.9])
+    def test_matches_schur_reference(self, n, eps):
+        params = SpinChainParams(n=n, epsilon=eps)
+        op = drive_unitary(params, sample_disorder(params, 4321, 2))
+        spectrum = floquet_spectrum(op)
+        reference = _schur_reference(op)
+        assert spectrum.schur_fallbacks == 0
+        assert np.abs(spectrum.quasienergies - reference.quasienergies).max() < 1e-13
+        H = effective_hamiltonian(spectrum)
+        H_ref = effective_hamiltonian(reference)
+        assert np.abs(H.matrix - H_ref.matrix).max() < 1e-11
+        assert percolation_graph(H).edges == percolation_graph(H_ref).edges
+
+    def test_n10_edges_match_block_solver(self):
+        params = SpinChainParams(n=10, epsilon=0.012)
+        op = drive_unitary(params, sample_disorder(params, 1234, 0))
+        spectrum = floquet_spectrum(op)
+        block = floquet_core._block_eigensystem(op.matrix)
+        assert not block.fallback
+        reference = floquet_core._sorted_spectrum(
+            block.values, block.vectors, op.period, 0, block.residual, block.gram_defect
+        )
+        del block
+        assert np.abs(spectrum.quasienergies - reference.quasienergies).max() < 1e-13
+        edges = percolation_graph(effective_hamiltonian(spectrum)).edges
+        assert edges == percolation_graph(effective_hamiltonian(reference)).edges
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 0.005, 0.5, 1.0 - 1e-12, 1.0])
+    def test_structural_support_matches_scan(self, monkeypatch, n, eps):
+        if n == 1:
+            # SpinChainParams needs n >= 2; the same closed form on one spin
+            theta = 0.5 * np.pi * (1.0 - eps)
+            c, s = np.cos(theta), -1j * np.sin(theta)
+            rotation, phase = np.array([[c, s], [s, c]]), np.exp([-0.4j, 1.1j])
+            op = FloquetOperator(
+                matrix=phase[:, None] * rotation, period=2.0, params_hash="test",
+                phase=phase, rotation=rotation,
+            )
+        else:
+            params = SpinChainParams(n=n, epsilon=eps)
+            op = drive_unitary(params, sample_disorder(params, 5, 0))
+        n_comp, labels = floquet_core._support_components(op.matrix)
+        scans = []
+        real_scan = floquet_core._support_components
+        monkeypatch.setattr(
+            floquet_core, "_support_components", lambda U: scans.append(U.shape) or real_scan(U)
+        )
+        got_comp, got_labels = floquet_core._support_labels(op)
+        assert got_comp == n_comp
+        assert np.array_equal(got_labels, labels)
+        # the factors decide the support except at the exact dimers
+        # (epsilon = 0, n >= 2) and at the diagonal U of epsilon = 1
+        assert bool(scans) == ((eps == 0.0 and n >= 2) or eps == 1.0)
+
+    def test_health_fields(self):
+        params = SpinChainParams(n=6, epsilon=0.012)
+        op = drive_unitary(params, sample_disorder(params, 8, 0))
+        spectrum = floquet_spectrum(op)
+        assert 0.0 < spectrum.residual <= 1e-10
+        assert 0.0 < spectrum.gram_defect <= 1e-12
+        doubled = two_period_spectrum(op, spectrum)
+        assert (doubled.residual, doubled.gram_defect) == (spectrum.residual, spectrum.gram_defect)
+        zero = SpinChainParams(n=6, epsilon=0.0)
+        dimers = floquet_spectrum(drive_unitary(zero, sample_disorder(zero, 8, 0)))
+        assert dimers.residual <= 1e-10 and dimers.gram_defect <= 1e-12
+
+    def test_health_fields_after_fallback(self, skewed_eigh):
+        # the skewed eigh basis fails its gate by about 1e-6; the fields
+        # describe the Schur eigenpairs that replaced it
+        params = SpinChainParams(n=6, epsilon=0.012)
+        op = drive_unitary(params, sample_disorder(params, 8, 0))
+        spectrum = floquet_spectrum(op)
+        assert spectrum.schur_fallbacks == 1
+        assert 0.0 < spectrum.residual <= 1e-10
+        assert 0.0 < spectrum.gram_defect <= 1e-12
+        V = spectrum.states
+        measured = np.abs(op.matrix @ V - V * spectrum.eigenvalues).max()
+        assert spectrum.residual == pytest.approx(measured, rel=0.5)
+
+
 class TestEffectiveHamiltonian:
     def test_identity_gives_zero(self):
         H = effective_hamiltonian(floquet_spectrum(_identity_floquet(4)))

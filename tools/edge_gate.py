@@ -1,0 +1,180 @@
+"""Edge-set gate: compare the percolation graphs of two dtcnet checkouts.
+
+    python3 tools/edge_gate.py --baseline <checkout> [--output gate.json]
+
+Run from the root of a checkout; its ./src/dtcnet is compared with the
+baseline checkout's src/dtcnet, imported side by side in one process
+(the baseline as the package dtcnet_baseline). Three checks:
+
+- the 600 spectra of the test suite's sweep_n8 fixture (n = 8, six
+  epsilons, 100 realizations, seed 1234): the T graphs;
+- the benchmark's ensemble_n8 config (n = 8, epsilons 0, 0.012, 0.1,
+  three realizations) at seeds 0-5: the T and 2T graphs as the ensemble
+  graph task builds them;
+- `dtcnet ensemble` on that config at seeds 0-2: every CSV it writes,
+  compared byte for byte.
+
+Each edge that is in one graph and not the other is a flip, listed with
+its margin |K_ij| - |E_i - E_j| in the baseline's effective Hamiltonian.
+The report also gives max |H - H_baseline| and the largest residual and
+Gram defect the checked spectra report.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SWEEP = {"n": 8, "epsilons": (0.005, 0.01, 0.012, 0.02, 0.05, 0.1), "realizations": 100, "seed": 1234}
+ENSEMBLE = {
+    "params": {"n": 8},
+    "epsilons": [0.0, 0.012, 0.1],
+    "realizations": 3,
+    "periods": 64,
+    "tasks": ["graph", "levelstats", "spectrum", "walk", "classical"],
+}
+GRAPH_SEEDS = range(6)
+CSV_SEEDS = range(3)
+
+
+def load(src: Path, name: str):
+    """Import src/dtcnet (with its subpackages) under the package name given."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "dtcnet" / "__init__.py", submodule_search_locations=[str(src / "dtcnet")]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class Gate:
+    def __init__(self) -> None:
+        self.graphs = self.edges = 0
+        self.flips: list[dict] = []
+        self.max_dH = self.residual = self.gram_defect = 0.0
+
+    def compare(self, label: str, pkg, base, spectra) -> None:
+        (spectrum, H), (base_spectrum, base_H) = spectra
+        self.residual = max(self.residual, getattr(spectrum, "residual", 0.0))
+        self.gram_defect = max(self.gram_defect, getattr(spectrum, "gram_defect", 0.0))
+        self.max_dH = max(self.max_dH, float(np.abs(H.matrix - base_H.matrix).max()))
+        edges = pkg.percolation_graph(H).edges
+        base_edges = base.percolation_graph(base_H).edges
+        self.graphs += 1
+        self.edges += len(base_edges)
+        energies = np.real(np.diag(base_H.matrix))
+        for i, j in sorted(edges ^ base_edges):
+            margin = abs(base_H.matrix[i, j]) - abs(energies[i] - energies[j])
+            self.flips.append(
+                {"graph": label, "pair": [i, j], "added": (i, j) in edges, "baseline_margin": float(margin)}
+            )
+
+    def report(self) -> dict:
+        return {
+            "graphs": self.graphs,
+            "baseline_edges": self.edges,
+            "flips": len(self.flips),
+            "flip_list": self.flips,
+            "max_abs_margin_of_flips": max((abs(f["baseline_margin"]) for f in self.flips), default=None),
+            "max_abs_dH": self.max_dH,
+            "max_residual": self.residual,
+            "max_gram_defect": self.gram_defect,
+        }
+
+
+def sweep_gate(pkg, base) -> dict:
+    gate = Gate()
+    for r in range(SWEEP["realizations"]):
+        for eps in SWEEP["epsilons"]:
+            spectra = []
+            for p in (pkg, base):
+                params = p.SpinChainParams(n=SWEEP["n"], epsilon=eps)
+                U = p.drive_unitary(params, p.sample_disorder(params, SWEEP["seed"], r))
+                spectrum = p.floquet_spectrum(U)
+                spectra.append((spectrum, p.effective_hamiltonian(spectrum)))
+            gate.compare(f"sweep eps={eps:g} r={r}", pkg, base, spectra)
+    return gate.report()
+
+
+def ensemble_gate(pkg, base) -> dict:
+    gate = Gate()
+    for seed in GRAPH_SEEDS:
+        for r in range(ENSEMBLE["realizations"]):
+            for eps in ENSEMBLE["epsilons"]:
+                T, T2 = [], []
+                for p in (pkg, base):
+                    params = p.SpinChainParams(n=ENSEMBLE["params"]["n"], epsilon=eps)
+                    U = p.drive_unitary(params, p.sample_disorder(params, seed, r))
+                    spectrum = p.floquet_spectrum(U)
+                    doubled = p.two_period_spectrum(U, spectrum)
+                    T.append((spectrum, p.effective_hamiltonian(spectrum)))
+                    T2.append((doubled, p.effective_hamiltonian(doubled)))
+                gate.compare(f"ensemble seed={seed} eps={eps:g} r={r} T", pkg, base, T)
+                gate.compare(f"ensemble seed={seed} eps={eps:g} r={r} 2T", pkg, base, T2)
+    return gate.report()
+
+
+def run_ensemble_csvs(pkg, seed: int, out: Path) -> dict[str, bytes]:
+    out.mkdir(parents=True, exist_ok=True)
+    config = out / f"seed{seed}.json"
+    config.write_text(json.dumps({**ENSEMBLE, "seed": seed}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = pkg.cli.main(["ensemble", "--config", str(config), "--out-dir", str(out / f"runs{seed}")])
+    if code != 0:
+        raise RuntimeError(f"dtcnet ensemble exited {code} at seed {seed}")
+    (run_dir,) = (out / f"runs{seed}").iterdir()
+    return {path.name: path.read_bytes() for path in sorted(run_dir.glob("*.csv"))}
+
+
+def csv_gate(pkg, base) -> dict:
+    files = identical = 0
+    differing = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in CSV_SEEDS:
+            new = run_ensemble_csvs(pkg, seed, Path(tmp) / "change")
+            old = run_ensemble_csvs(base, seed, Path(tmp) / "baseline")
+            if sorted(new) != sorted(old):
+                differing.append(f"seed {seed}: file lists differ")
+            for name in sorted(set(new) & set(old)):
+                files += 1
+                if new[name] == old[name]:
+                    identical += 1
+                else:
+                    differing.append(f"seed {seed}: {name}")
+    return {"files": files, "identical": identical, "differing": differing}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--baseline", required=True, type=Path, help="checkout to compare against")
+    p.add_argument("--output", type=Path, default=None)
+    args = p.parse_args(argv)
+    pkg = load(ROOT / "src", "dtcnet")
+    base = load(args.baseline.resolve() / "src", "dtcnet_baseline")
+    importlib.import_module("dtcnet.cli")
+    importlib.import_module("dtcnet_baseline.cli")
+    report = {
+        "sweep_n8_fixture": sweep_gate(pkg, base),
+        "ensemble_graphs": ensemble_gate(pkg, base),
+        "ensemble_csvs": csv_gate(pkg, base),
+    }
+    text = json.dumps(report, indent=1)
+    if args.output:
+        args.output.write_text(text + "\n")
+    summary = {k: {key: v for key, v in part.items() if key != "flip_list"} for k, part in report.items()}
+    print(json.dumps(summary, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
