@@ -80,7 +80,8 @@ class FloquetOperator:
     U = diag(phase) R^(x n): phase is the 2^n Ising-step phase vector and
     rotation the 2x2 pulse R on one spin. Operators built otherwise
     (squared_floquet, hand-made ones) have neither, and apply falls
-    back to the dense matrix.
+    back to the dense matrix. symmetrizer, the half pulse R^(1/2), makes
+    S U S^H symmetric with S = (R^(1/2))^(x n); U and its square carry it.
     """
 
     matrix: np.ndarray
@@ -88,6 +89,7 @@ class FloquetOperator:
     params_hash: str
     phase: np.ndarray | None = None
     rotation: np.ndarray | None = None
+    symmetrizer: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -203,9 +205,7 @@ def floquet_operator(H1: DenseOperator, H2: DenseOperator, params: SpinChainPara
 def _closed_form_propagator(params: SpinChainParams, diag: np.ndarray, c: float) -> FloquetOperator:
     """U = diag(exp(-i diag T2)) R^(x n), with R = exp(-i c T1 sigma^x) one pulsed spin."""
     theta = c * params.T1
-    rot = np.array(
-        [[np.cos(theta), -1j * np.sin(theta)], [-1j * np.sin(theta), np.cos(theta)]]
-    )
+    rot = _x_rotation(theta)
     phase = np.exp(-1j * diag * params.T2)
     return FloquetOperator(
         matrix=phase[:, None] * _kron_power(rot, params.n),
@@ -213,7 +213,14 @@ def _closed_form_propagator(params: SpinChainParams, diag: np.ndarray, c: float)
         params_hash=_params_hash(params, diag, c),
         phase=phase,
         rotation=rot,
+        symmetrizer=_x_rotation(0.5 * theta),
     )
+
+
+def _x_rotation(theta: float) -> np.ndarray:
+    """exp(-i theta sigma^x) on one spin."""
+    c, s = np.cos(theta), -1j * np.sin(theta)
+    return np.array([[c, s], [s, c]])
 
 
 def _kron_power(rot: np.ndarray, k: int) -> np.ndarray:
@@ -229,18 +236,25 @@ def _kron_power(rot: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _kron_apply(rot: np.ndarray, states: np.ndarray) -> np.ndarray:
+def _kron_apply(rot: np.ndarray, states: np.ndarray, rows: bool = False) -> np.ndarray:
     """rot^(x n) states, for one vector or a block of columns of length 2^n.
 
     rot^(x n) = A (x) B with A = rot^(x floor(n/2)) and B = rot^(x ceil(n/2)),
     so the product is one A @ X on the (dA, dB k) view of the states and
     one batched B @ on the (dA, dB, k) view (the Kronecker shuffle
     product; Fernandes, Plateau and Stewart, J. ACM 45, 381 (1998)).
+    With rows, rot^(x n) acts on each row of a (k, 2^n) block instead,
+    giving states (rot^(x n))^T by one @ B^T on the (k dA, dB) view and
+    one batched A @ on the (k, dA, dB) view: no transposed copy is made.
     """
-    n = np.shape(states)[0].bit_length() - 1
+    n = np.shape(states)[-1 if rows else 0].bit_length() - 1
     A, B = _kron_power(rot, n // 2), _kron_power(rot, n - n // 2)
-    X = np.asarray(states).reshape(A.shape[0], -1)
-    Y = np.matmul(B, (A @ X).reshape(A.shape[0], B.shape[0], -1))
+    if rows:
+        Y = (states.reshape(-1, B.shape[0]) @ B.T).reshape(-1, A.shape[0], B.shape[0])
+        Y = np.matmul(A, Y)
+    else:
+        X = np.asarray(states).reshape(A.shape[0], -1)
+        Y = np.matmul(B, (A @ X).reshape(A.shape[0], B.shape[0], -1))
     return Y.reshape(np.shape(states))
 
 
@@ -256,9 +270,10 @@ def drive_unitary(params: SpinChainParams, disorder: DisorderRealization) -> Flo
 
 
 def squared_floquet(op: FloquetOperator) -> FloquetOperator:
-    """Two-period propagator U^2; period doubles, hash is preserved."""
+    """Two-period propagator U^2; period doubles, hash and symmetrizer are preserved."""
     return FloquetOperator(
-        matrix=op.matrix @ op.matrix, period=2.0 * op.period, params_hash=op.params_hash
+        matrix=op.matrix @ op.matrix, period=2.0 * op.period, params_hash=op.params_hash,
+        symmetrizer=op.symmetrizer,
     )
 
 
@@ -266,11 +281,11 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
     """Diagonalize a unitary propagator block by block.
 
     The support graph of |U_ij| > SUPPORT_TOL is split into connected
-    components (_support_labels). A factored one-period U that is one
-    component is solved by one real orthogonal eigensolve of its
-    symmetrized form (_symmetrized_eigensystem). Every other block B
-    (the epsilon = 0 dimers, U^2, hand-made operators) is solved on its
-    own (_block_eigensystem): one Hermitian eigensolve of a rotated
+    components (_support_labels). A one-component U or U^2 of the drive
+    is solved by one real orthogonal eigensolve of its symmetrized form
+    (_symmetrized_eigensystem). Every other block B (the epsilon = 0
+    blocks, hand-made operators) is solved on its own
+    (_block_eigensystem): one Hermitian eigensolve of a rotated
     Hermitian part of B. Both solvers re-split each run of close
     eigenvalues by a small Schur, and both gate the result on its
     residual and orthonormality, sending a failing block to a complex
@@ -287,7 +302,8 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
         raise ValueError("propagator must be square")
     n_comp, labels = _support_labels(op)
     if n_comp == 1:
-        solved = [_symmetrized_eigensystem(op) if op.phase is not None else _block_eigensystem(U)]
+        real_path = op.symmetrizer is not None
+        solved = [_symmetrized_eigensystem(op) if real_path else _block_eigensystem(U)]
         eigenvalues, states = solved[0].values, solved[0].vectors
     else:
         eigenvalues = np.zeros(dim, dtype=complex)
@@ -345,8 +361,19 @@ def _support_labels(op: FloquetOperator) -> tuple[int, np.ndarray]:
 
 
 def _support_components(U: np.ndarray) -> tuple[int, np.ndarray]:
-    """Connected components of |U_ij| > SUPPORT_TOL, numbered by smallest node."""
-    return connected_components(csr_matrix(np.abs(U) > SUPPORT_TOL), directed=False)
+    """Connected components of |U_ij| > SUPPORT_TOL, numbered by smallest node.
+
+    A support that the nodes reached from node 0 span skips csgraph.
+    """
+    mask = np.abs(U) > SUPPORT_TOL
+    mask |= mask.T
+    reached = mask[0] | (np.arange(mask.shape[0]) == 0)
+    while not reached.all():
+        grown = reached | mask[reached].any(axis=0)
+        if np.array_equal(grown, reached):
+            return connected_components(csr_matrix(mask), directed=False)
+        reached = grown
+    return 1, np.zeros(mask.shape[0], dtype=np.int32)
 
 
 def _sorted_spectrum(
@@ -413,30 +440,29 @@ def _block_eigensystem(B: np.ndarray) -> _Eigensystem:
 
 
 def _symmetrized_eigensystem(op: FloquetOperator) -> _Eigensystem:
-    """Eigenpairs of a factored one-period U from one real orthogonal eigensolve.
+    """Eigenpairs of a drive propagator (U or U^2) from one real orthogonal eigensolve.
 
     Both drive steps are complex symmetric in the configuration basis,
-    so with S = (R^(1/2))^(x n) the symmetrized propagator
-    U_s = S U S^H = S diag(phase) S is a symmetric unitary. Its real and
-    imaginary parts are real symmetric and commute, and a real
-    orthogonal O diagonalizes it: the structure of Dyson's circular
-    orthogonal ensemble (Dyson, J. Math. Phys. 3, 140 (1962); Haake,
-    Quantum Signatures of Chaos). One real eigh of
-    Re(e^{-i phi} U_s), which is _block_eigensystem's A for B = U_s,
-    gives O; _resplit re-splits its close runs and reads off
+    so with the half pulse S = op.symmetrizer^(x n) the symmetrized
+    propagator U_s = S U S^H (S diag(phase) S, or its square for U^2)
+    is a symmetric unitary. Its real and imaginary parts are real
+    symmetric and commute, and a real orthogonal O diagonalizes it: the
+    structure of Dyson's circular orthogonal ensemble (Dyson, J. Math.
+    Phys. 3, 140 (1962); Haake, Quantum Signatures of Chaos). One real
+    eigh of Re(e^{-i phi} U_s), which is _block_eigensystem's A for
+    B = U_s, gives O; _resplit re-splits its close runs and reads off
     mu = diag(O^H U_s O); and U's eigenvectors are V = S^H O. S enters
     only through factored products. The gates are U_s's residual, which
-    is U's up to the roundoff of one unitary product, and V's Gram
+    is U's up to the roundoff of two unitary products, and V's Gram
     defect; if either fails, U is solved by complex Schur.
     """
-    # R = exp(-i theta sigma^x) on one spin, and S = exp(-i theta/2 sigma^x)
-    half = 0.5 * np.arctan2(-op.rotation[0, 1].imag, op.rotation[0, 0].real)
-    S = np.array([[np.cos(half), -1j * np.sin(half)], [-1j * np.sin(half), np.cos(half)]])
+    S = op.symmetrizer
+    # U_s = (S U) S^H, S^H = (conj(S)^(x n))^T acting on the rows of S U;
     # each temporary is dropped once used, so the solve holds no more
     # dim x dim arrays at a time than _block_eigensystem does
-    PS = _kron_apply(S, np.diag(op.phase)).T.copy()  # diag(phase) S, row-major
-    Us = _kron_apply(S, PS)
-    del PS
+    SU = _kron_apply(S, op.matrix)
+    Us = _kron_apply(S.conj(), SU, rows=True)
+    del SU
     A = np.cos(SPECTRAL_ROTATION) * Us.real
     A += np.sin(SPECTRAL_ROTATION) * Us.imag
     # A is symmetric: A^T is the column-major array LAPACK overwrites with O

@@ -320,8 +320,22 @@ def _record_solvers(monkeypatch) -> list[tuple[str, int]]:
     return calls
 
 
+def _check_against_schur(monkeypatch, op: FloquetOperator) -> None:
+    """op takes the real path, and its spectrum agrees with the Schur reference."""
+    calls = _record_solvers(monkeypatch)
+    spectrum = floquet_spectrum(op)
+    assert calls == [("symmetrized", op.dim)]
+    reference = _schur_reference(op)
+    assert spectrum.schur_fallbacks == 0
+    assert np.abs(spectrum.quasienergies - reference.quasienergies).max() < 1e-13
+    H = effective_hamiltonian(spectrum)
+    H_ref = effective_hamiltonian(reference)
+    assert np.abs(H.matrix - H_ref.matrix).max() < 1e-11
+    assert percolation_graph(H).edges == percolation_graph(H_ref).edges
+
+
 class TestSymmetrizedSolver:
-    """The real orthogonal solve of a factored one-period U."""
+    """The real orthogonal solve of the drive's U and U^2."""
 
     def test_routing(self, monkeypatch):
         calls = _record_solvers(monkeypatch)
@@ -331,7 +345,7 @@ class TestSymmetrizedSolver:
         assert calls == [("symmetrized", 64)]
         calls.clear()
         floquet_spectrum(squared_floquet(U))
-        assert calls == [("block", 64)]
+        assert calls == [("symmetrized", 64)]
         calls.clear()
         zero = SpinChainParams(n=6, epsilon=0.0)
         floquet_spectrum(drive_unitary(zero, sample_disorder(zero, 3, 0)))
@@ -343,17 +357,63 @@ class TestSymmetrizedSolver:
 
     @pytest.mark.parametrize("n", [2, 5, 7])
     @pytest.mark.parametrize("eps", [0.005, 0.5, 0.9])
-    def test_matches_schur_reference(self, n, eps):
+    def test_matches_schur_reference(self, monkeypatch, n, eps):
         params = SpinChainParams(n=n, epsilon=eps)
         op = drive_unitary(params, sample_disorder(params, 4321, 2))
+        _check_against_schur(monkeypatch, op)
+
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    @pytest.mark.parametrize("eps", [0.005, 0.5, 0.9])
+    def test_square_matches_schur_reference(self, monkeypatch, n, eps):
+        # U^2 takes the same real path: S U^2 S^H = (S U S^H)^2 is symmetric
+        params = SpinChainParams(n=n, epsilon=eps)
+        op = squared_floquet(drive_unitary(params, sample_disorder(params, 4321, 2)))
+        _check_against_schur(monkeypatch, op)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_zero_error_square_keeps_diagonal_blocks(self, monkeypatch, n):
+        # U^2 is diagonal at epsilon = 0: 1x1 blocks, whose couplings
+        # stay exactly zero, rather than one symmetrized solve
+        params = SpinChainParams(n=n, epsilon=0.0)
+        U2 = squared_floquet(drive_unitary(params, sample_disorder(params, 6, 0)))
+        calls = _record_solvers(monkeypatch)
+        H = effective_hamiltonian(floquet_spectrum(U2)).matrix
+        assert calls == [("block", 1)] * 2**n
+        assert np.count_nonzero(H - np.diag(H.diagonal())) == 0
+
+    def test_symmetrizer_is_carried(self):
+        params = SpinChainParams(n=4, epsilon=0.03)
+        U = drive_unitary(params, sample_disorder(params, 7, 0))
+        theta = params.g * (1.0 - params.epsilon) * params.T1
+        half_pulse = scipy.linalg.expm(-0.5j * theta * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.abs(U.symmetrizer - half_pulse).max() < 1e-15
+        assert np.abs(U.symmetrizer @ U.symmetrizer - U.rotation).max() < 1e-15
+        U2 = squared_floquet(U)
+        assert U2.symmetrizer is U.symmetrizer
+        hand_made = FloquetOperator(matrix=U.matrix.copy(), period=U.period, params_hash="test")
+        assert hand_made.symmetrizer is None
+
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_wrong_symmetrizer_falls_back_to_schur(self, monkeypatch, squared):
+        # a half pulse of another angle leaves S U S^H unsymmetric, so no
+        # real orthogonal basis passes the residual gate
+        params = SpinChainParams(n=6, epsilon=0.05)
+        U = drive_unitary(params, sample_disorder(params, 12, 0))
+        if squared:
+            U = squared_floquet(U)
+        wrong = floquet_core._x_rotation(0.3)
+        op = FloquetOperator(
+            matrix=U.matrix, period=U.period, params_hash="test", symmetrizer=wrong
+        )
+        calls = _record_solvers(monkeypatch)
         spectrum = floquet_spectrum(op)
-        reference = _schur_reference(op)
-        assert spectrum.schur_fallbacks == 0
+        assert calls == [("symmetrized", 64)]
+        assert spectrum.schur_fallbacks == 1
+        V = spectrum.states
+        assert np.abs(op.matrix @ V - V * spectrum.eigenvalues).max() < 1e-13
+        assert np.abs(V.conj().T @ V - np.eye(64)).max() < 1e-13
+        reference = _schur_reference(U)
         assert np.abs(spectrum.quasienergies - reference.quasienergies).max() < 1e-13
-        H = effective_hamiltonian(spectrum)
-        H_ref = effective_hamiltonian(reference)
-        assert np.abs(H.matrix - H_ref.matrix).max() < 1e-11
-        assert percolation_graph(H).edges == percolation_graph(H_ref).edges
 
     def test_n10_edges_match_block_solver(self):
         params = SpinChainParams(n=10, epsilon=0.012)
@@ -421,6 +481,83 @@ class TestSymmetrizedSolver:
         V = spectrum.states
         measured = np.abs(op.matrix @ V - V * spectrum.eigenvalues).max()
         assert spectrum.residual == pytest.approx(measured, rel=0.5)
+
+
+def _csgraph_components(U: np.ndarray) -> tuple[int, np.ndarray]:
+    """The support components as csgraph alone finds them."""
+    return connected_components(csr_matrix(np.abs(U) > floquet_core.SUPPORT_TOL), directed=False)
+
+
+def _assert_same_components(U: np.ndarray) -> None:
+    n_comp, labels = floquet_core._support_components(U)
+    ref_comp, ref_labels = _csgraph_components(U)
+    assert n_comp == ref_comp
+    assert labels.dtype == ref_labels.dtype
+    assert np.array_equal(labels, ref_labels)
+
+
+class TestSupportComponents:
+    """The dense reachability scan gives csgraph's components and labels."""
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_zero_error_blocks(self, n, squared):
+        params = SpinChainParams(n=n, epsilon=0.0)
+        op = drive_unitary(params, sample_disorder(params, 14, 0))
+        if squared:
+            op = squared_floquet(op)
+        _assert_same_components(op.matrix)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("eps", [0.005, 0.012, 0.1])
+    def test_connected_drive(self, n, eps):
+        params = SpinChainParams(n=n, epsilon=eps)
+        op = drive_unitary(params, sample_disorder(params, 15, 0))
+        for U in (op.matrix, squared_floquet(op).matrix):
+            assert floquet_core._support_components(U)[0] == 1
+            _assert_same_components(U)
+
+    @pytest.mark.parametrize("components", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_sparse_masks(self, components, seed):
+        # a random sparse graph on each of `components` shuffled node
+        # groups: a spanning path per group keeps the groups connected
+        rng = np.random.default_rng(seed)
+        dim = 40
+        group = rng.permutation(np.arange(dim) % components)
+        U = np.zeros((dim, dim), dtype=complex)
+        for g in range(components):
+            nodes = rng.permutation(np.flatnonzero(group == g))
+            U[nodes[:-1], nodes[1:]] = 0.5
+        same = group[:, None] == group[None, :]
+        U[same & (rng.random((dim, dim)) < 0.05)] = 0.3j
+        U[~same] = 0.1 * floquet_core.SUPPORT_TOL  # below the threshold
+        assert floquet_core._support_components(U)[0] == components
+        _assert_same_components(U)
+
+    def test_one_way_mask(self, monkeypatch):
+        # edges given in one direction only still join their nodes, and a
+        # chain that reaches node 0 only through edges pointing into it
+        # is found connected without csgraph
+        scans = []
+        real_scan = floquet_core.connected_components
+        monkeypatch.setattr(
+            floquet_core, "connected_components",
+            lambda *args, **kwargs: scans.append(1) or real_scan(*args, **kwargs),
+        )
+        dim = 12
+        U = np.eye(dim, dtype=complex)
+        U[np.arange(1, dim), np.arange(dim - 1)] = 1.0  # 11 -> 10 -> ... -> 0
+        assert floquet_core._support_components(U)[0] == 1
+        _assert_same_components(U)
+        _assert_same_components(U.T.copy())
+        assert scans == []
+        U[6, 5] = 0.0  # two one-way chains, 0..5 and 6..11
+        U[7, 11] = 1.0
+        assert floquet_core._support_components(U)[0] == 2
+        _assert_same_components(U)
+        _assert_same_components(U.T.copy())
+        assert scans
 
 
 class TestEffectiveHamiltonian:

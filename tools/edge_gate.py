@@ -4,10 +4,12 @@
 
 Run from the root of a checkout; its ./src/dtcnet is compared with the
 baseline checkout's src/dtcnet, imported side by side in one process
-(the baseline as the package dtcnet_baseline). Three checks:
+(the baseline as the package dtcnet_baseline). Four checks:
 
 - the 600 spectra of the test suite's sweep_n8 fixture (n = 8, six
   epsilons, 100 realizations, seed 1234): the T graphs;
+- the same 600 propagators squared and solved afresh,
+  floquet_spectrum(squared_floquet(U)): the 2T graphs of that solve;
 - the benchmark's ensemble_n8 config (n = 8, epsilons 0, 0.012, 0.1,
   three realizations) at seeds 0-5: the T and 2T graphs as the ensemble
   graph task builds them;
@@ -16,8 +18,8 @@ baseline checkout's src/dtcnet, imported side by side in one process
 
 Each edge that is in one graph and not the other is a flip, listed with
 its margin |K_ij| - |E_i - E_j| in the baseline's effective Hamiltonian.
-The report also gives max |H - H_baseline| and the largest residual and
-Gram defect the checked spectra report.
+The report also gives max |H - H_baseline|, the largest residual and
+Gram defect the checked spectra report, and their Schur fallbacks.
 """
 
 from __future__ import annotations
@@ -62,11 +64,13 @@ class Gate:
         self.graphs = self.edges = 0
         self.flips: list[dict] = []
         self.max_dH = self.residual = self.gram_defect = 0.0
+        self.fallbacks = 0
 
     def compare(self, label: str, pkg, base, spectra) -> None:
         (spectrum, H), (base_spectrum, base_H) = spectra
         self.residual = max(self.residual, getattr(spectrum, "residual", 0.0))
         self.gram_defect = max(self.gram_defect, getattr(spectrum, "gram_defect", 0.0))
+        self.fallbacks += spectrum.schur_fallbacks
         self.max_dH = max(self.max_dH, float(np.abs(H.matrix - base_H.matrix).max()))
         edges = pkg.percolation_graph(H).edges
         base_edges = base.percolation_graph(base_H).edges
@@ -89,10 +93,12 @@ class Gate:
             "max_abs_dH": self.max_dH,
             "max_residual": self.residual,
             "max_gram_defect": self.gram_defect,
+            "schur_fallbacks": self.fallbacks,
         }
 
 
-def sweep_gate(pkg, base) -> dict:
+def sweep_gate(pkg, base, squared: bool = False) -> dict:
+    """The fixture's T graphs, or with squared the 2T graphs of a fresh solve of U^2."""
     gate = Gate()
     for r in range(SWEEP["realizations"]):
         for eps in SWEEP["epsilons"]:
@@ -100,9 +106,9 @@ def sweep_gate(pkg, base) -> dict:
             for p in (pkg, base):
                 params = p.SpinChainParams(n=SWEEP["n"], epsilon=eps)
                 U = p.drive_unitary(params, p.sample_disorder(params, SWEEP["seed"], r))
-                spectrum = p.floquet_spectrum(U)
+                spectrum = p.floquet_spectrum(p.squared_floquet(U) if squared else U)
                 spectra.append((spectrum, p.effective_hamiltonian(spectrum)))
-            gate.compare(f"sweep eps={eps:g} r={r}", pkg, base, spectra)
+            gate.compare(f"sweep{' U^2' if squared else ''} eps={eps:g} r={r}", pkg, base, spectra)
     return gate.report()
 
 
@@ -165,6 +171,7 @@ def main(argv=None) -> int:
     importlib.import_module("dtcnet_baseline.cli")
     report = {
         "sweep_n8_fixture": sweep_gate(pkg, base),
+        "sweep_n8_fresh_u2": sweep_gate(pkg, base, squared=True),
         "ensemble_graphs": ensemble_gate(pkg, base),
         "ensemble_csvs": csv_gate(pkg, base),
     }
