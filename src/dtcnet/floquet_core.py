@@ -47,24 +47,22 @@ __all__ = [
 # at the epsilon values of interest, so blocks only appear where the
 # dynamics is exactly decoupled (e.g. the perfect-pulse dimers).
 SUPPORT_TOL = 1e-13
-# Quasienergy gaps below this are treated as a degenerate cluster.
-DEGENERACY_TOL = 1e-10
 # Eigenphases this close to +-pi get a branch-margin warning: the
 # folding of lambda is numerically unstable there.
 BRANCH_MARGIN = 1e-10
 ORTHONORMALITY_TOL = 1e-12
-# Eigensolvers (see _block_eigensystem and _symmetrized_eigensystem).
-# The rotation angle is generic, so that no symmetry of the drive
-# places eigenphase pairs symmetrically about it.
+# The real eigensolve (_symmetrized_eigensystem) diagonalizes a rotated
+# cosine part. The rotation angle is generic, so that no symmetry of the
+# drive places eigenphase pairs symmetrically about it.
 SPECTRAL_ROTATION = 0.6180339887498949
-# Runs of rotated-Hermitian-part eigenvalues closer than this fraction of
+# Runs of rotated-cosine-part eigenvalues closer than this fraction of
 # their mean spacing 2/dim are re-split as one cluster. eigh mixes two
-# eigenvectors by about 1e-16/gap, and B's residual scales that by
+# eigenvectors by about 1e-16/gap, and U_s's residual scales that by
 # |mu_i - mu_j|, which stays O(1) for eigenphases the cosine folds
 # together; re-splitting the close runs keeps the residual at the
 # Schur level (~1e-14 at n = 8 and 10).
 CLUSTER_SPACING = 0.25
-# Largest max |B Z - Z mu| an eigh solve may leave before Schur takes over.
+# Largest max |U Z - Z mu| the real solve may leave before Schur takes over.
 RESIDUAL_TOL = 1e-10
 # Deviation allowed when verifying the rigid drive shape (uniform
 # transverse pulse, diagonal Ising step) that the closed-form
@@ -114,10 +112,10 @@ class FloquetSpectrum:
 
     branch_warnings lists eigenphases that sit within BRANCH_MARGIN of
     the +-pi cut, where the fold direction is not numerically robust.
-    schur_fallbacks counts the blocks whose eigensolve failed its
-    residual or orthonormality gate and were solved by Schur instead;
-    a two_period_spectrum that reuses U's eigenpairs has U's blocks and
-    U's count. residual (max |B Z - Z mu|) and gram_defect
+    schur_fallbacks counts the real solves (_symmetrized_eigensystem)
+    that failed their residual or orthonormality gate and were replaced
+    by a complex Schur; a two_period_spectrum that reuses U's eigenpairs
+    has U's blocks and U's count. residual (max |B Z - Z mu|) and gram_defect
     (max |Z^H Z - 1|) are the largest over the blocks, from whichever
     solver produced each block's eigenpairs; a reusing two_period_spectrum
     carries U's values too.
@@ -282,28 +280,24 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
 
     The support graph of |U_ij| > SUPPORT_TOL is split into connected
     components (_support_labels). A one-component U or U^2 of the drive
-    is solved by one real orthogonal eigensolve of its symmetrized form
-    (_symmetrized_eigensystem). Every other block B (the epsilon = 0
-    blocks, hand-made operators) is solved on its own
-    (_block_eigensystem): one Hermitian eigensolve of a rotated
-    Hermitian part of B. Both solvers re-split each run of close
-    eigenvalues by a small Schur, and both gate the result on its
-    residual and orthonormality, sending a failing block to a complex
-    Schur decomposition instead. Decoupled blocks therefore never mix:
-    at zero rotation error the mirror-symmetric dimer pairs are exactly
-    degenerate, and a dense solver would rotate them into each other at
-    machine precision, producing spurious couplings. Eigenvectors across
-    blocks have disjoint support, hence exact zeros in the effective
-    Hamiltonian.
+    (an operator with a symmetrizer) is solved by one real orthogonal
+    eigensolve of its symmetrized form (_symmetrized_eigensystem), gated
+    on its residual and orthonormality, with a complex Schur of U as the
+    fallback. Every other block (the epsilon = 0 blocks, hand-made
+    operators) is solved by one complex Schur (_schur_eigensystem).
+    Decoupled blocks therefore never mix: at zero rotation error the
+    mirror-symmetric dimer pairs are exactly degenerate, and a dense
+    solver would rotate them into each other at machine precision,
+    producing spurious couplings. Eigenvectors across blocks have
+    disjoint support, hence exact zeros in the effective Hamiltonian.
     """
     U = op.matrix
     dim = U.shape[0]
     if U.shape != (dim, dim):
         raise ValueError("propagator must be square")
     n_comp, labels = _support_labels(op)
-    if n_comp == 1:
-        real_path = op.symmetrizer is not None
-        solved = [_symmetrized_eigensystem(op) if real_path else _block_eigensystem(U)]
+    if n_comp == 1 and op.symmetrizer is not None:
+        solved = [_symmetrized_eigensystem(op)]
         eigenvalues, states = solved[0].values, solved[0].vectors
     else:
         eigenvalues = np.zeros(dim, dtype=complex)
@@ -311,7 +305,7 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
         solved, col = [], 0
         for comp in range(n_comp):
             idx = np.flatnonzero(labels == comp)
-            block = _block_eigensystem(U[np.ix_(idx, idx)])
+            block = _schur_eigensystem(U[np.ix_(idx, idx)])
             eigenvalues[col : col + idx.size] = block.values
             states[idx, col : col + idx.size] = block.vectors
             solved.append(block)
@@ -399,7 +393,6 @@ def _sorted_spectrum(
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
     states = states[:, order]
-    _reorthonormalize_clusters(lam, states)
     return FloquetSpectrum(
         quasienergies=lam,
         states=states,
@@ -412,31 +405,20 @@ def _sorted_spectrum(
     )
 
 
-def _block_eigensystem(B: np.ndarray) -> _Eigensystem:
-    """Eigenvalues and orthonormal eigenvectors of one unitary block.
+def _schur_eigensystem(B: np.ndarray) -> _Eigensystem:
+    """Eigenvalues and orthonormal eigenvectors of one unitary block by complex Schur.
 
-    A = (e^{-i phi} B + e^{i phi} B^H)/2 with phi = SPECTRAL_ROTATION is
-    Hermitian, shares B's eigenvectors and has eigenvalues
-    cos(arg mu - phi). One eigh of A gives the basis Z, and _resplit
-    re-splits its close runs and reads off mu = diag(Z^H B Z). A block
-    whose residual max |B Z - Z mu| exceeds RESIDUAL_TOL, or whose Gram
-    defect exceeds ORTHONORMALITY_TOL, is solved by complex Schur
-    instead.
+    B is normal, so its Schur form is diagonal to roundoff and the Schur
+    vectors are its eigenvectors. The health fields are the solve's own
+    residual max |B z - z mu| and Gram defect.
     """
     if B.shape[0] == 1:
         return _Eigensystem(B[0].copy(), np.ones((1, 1), dtype=complex), False, 0.0, 0.0)
-    rot = np.exp(-1j * SPECTRAL_ROTATION)
-    # built as A^T in row-major order, which is A in the column-major
-    # order LAPACK overwrites in place with the eigenvectors
-    At = np.conj(B)
-    At *= np.conj(rot)
-    At += rot * B.T
-    At *= 0.5
-    w, Z = scipy.linalg.eigh(At.T, overwrite_a=True, check_finite=False, driver="evd")
-    BZ = B @ Z
-    mu, residual = _resplit(w, Z, BZ)
-    del BZ  # before the Gram matrix is allocated, to keep the peak low
-    return _gated(mu, Z, residual, B)
+    tmat, z = scipy.linalg.schur(B, output="complex")
+    mu = np.diag(tmat).copy()
+    Bz = B @ z
+    Bz -= z * mu
+    return _Eigensystem(mu, z, False, float(np.abs(Bz).max()), _gram_defect(z))
 
 
 def _symmetrized_eigensystem(op: FloquetOperator) -> _Eigensystem:
@@ -449,17 +431,17 @@ def _symmetrized_eigensystem(op: FloquetOperator) -> _Eigensystem:
     symmetric and commute, and a real orthogonal O diagonalizes it: the
     structure of Dyson's circular orthogonal ensemble (Dyson, J. Math.
     Phys. 3, 140 (1962); Haake, Quantum Signatures of Chaos). One real
-    eigh of Re(e^{-i phi} U_s), which is _block_eigensystem's A for
-    B = U_s, gives O; _resplit re-splits its close runs and reads off
+    eigh of Re(e^{-i phi} U_s), whose eigenvalues are cos(arg mu - phi),
+    gives O; _resplit re-splits its close runs and reads off
     mu = diag(O^H U_s O); and U's eigenvectors are V = S^H O. S enters
-    only through factored products. The gates are U_s's residual, which
-    is U's up to the roundoff of two unitary products, and V's Gram
-    defect; if either fails, U is solved by complex Schur.
+    only through factored products. The gates are U_s's residual
+    (RESIDUAL_TOL), which is U's up to the roundoff of two unitary
+    products, and V's Gram defect (ORTHONORMALITY_TOL); if either fails,
+    U is solved by _schur_eigensystem instead, marked as a fallback.
     """
     S = op.symmetrizer
     # U_s = (S U) S^H, S^H = (conj(S)^(x n))^T acting on the rows of S U;
-    # each temporary is dropped once used, so the solve holds no more
-    # dim x dim arrays at a time than _block_eigensystem does
+    # each temporary is dropped once used, to keep the peak low
     SU = _kron_apply(S, op.matrix)
     Us = _kron_apply(S.conj(), SU, rows=True)
     del SU
@@ -478,7 +460,10 @@ def _symmetrized_eigensystem(op: FloquetOperator) -> _Eigensystem:
     del BZ
     V = _kron_apply(S.conj(), Z)
     del Z
-    return _gated(mu, V, residual, op.matrix)
+    gram_defect = _gram_defect(V)
+    if residual <= RESIDUAL_TOL and gram_defect <= ORTHONORMALITY_TOL:
+        return _Eigensystem(mu, V, False, residual, gram_defect)
+    return _schur_eigensystem(op.matrix)._replace(fallback=True)
 
 
 def _resplit(w: np.ndarray, Z: np.ndarray, BZ: np.ndarray) -> tuple[np.ndarray, float]:
@@ -499,23 +484,6 @@ def _resplit(w: np.ndarray, Z: np.ndarray, BZ: np.ndarray) -> tuple[np.ndarray, 
     return mu, float(np.abs(BZ).max())
 
 
-def _gated(mu: np.ndarray, Z: np.ndarray, residual: float, B: np.ndarray) -> _Eigensystem:
-    """The eigh eigenpairs (mu, Z) if both gates pass, else a complex Schur solve of B.
-
-    The gates are residual <= RESIDUAL_TOL and the Gram defect of Z
-    within ORTHONORMALITY_TOL. The health fields describe the eigenpairs
-    returned.
-    """
-    gram_defect = _gram_defect(Z)
-    if residual <= RESIDUAL_TOL and gram_defect <= ORTHONORMALITY_TOL:
-        return _Eigensystem(mu, Z, False, residual, gram_defect)
-    tmat, z = scipy.linalg.schur(B, output="complex")
-    mu = np.diag(tmat).copy()
-    Bz = B @ z
-    Bz -= z * mu
-    return _Eigensystem(mu, z, True, float(np.abs(Bz).max()), _gram_defect(z))
-
-
 def _gram_defect(Z: np.ndarray) -> float:
     """max |Z^H Z - 1|."""
     # Z^H Z, upper triangle only; the lower one is left zero
@@ -528,22 +496,6 @@ def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     """(start, stop) of each run of two or more sorted values with gaps below tol."""
     bounds = [0, *(np.flatnonzero(np.diff(values) >= tol) + 1), values.size]
     return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b - a > 1]
-
-
-def _reorthonormalize_clusters(lam: np.ndarray, states: np.ndarray) -> None:
-    """QR-clean eigenvector clusters of near-degenerate quasienergies.
-
-    The block solver returns orthonormal columns (its eigh result is
-    gated on the Gram defect, its Schur fallback is unitary), so this is
-    a safety net: it only rewrites a cluster whose Gram matrix departs
-    from the identity by more than ORTHONORMALITY_TOL.
-    """
-    for start, stop in _runs(lam, DEGENERACY_TOL):
-        block = states[:, start:stop]
-        gram = block.conj().T @ block
-        if np.abs(gram - np.eye(stop - start)).max() > ORTHONORMALITY_TOL:
-            q, _ = np.linalg.qr(block)
-            states[:, start:stop] = q
 
 
 def effective_hamiltonian(spectrum: FloquetSpectrum) -> EffectiveHamiltonian:

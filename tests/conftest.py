@@ -90,8 +90,8 @@ def sweep_n8():
 def skewed_eigh(monkeypatch):
     """Make every scipy.linalg.eigh basis non-orthonormal.
 
-    floquet_spectrum's block solver then fails its orthonormality gate on
-    every block larger than 1x1 and falls back to Schur.
+    floquet_spectrum's real solve of a drive propagator then fails its
+    orthonormality gate and falls back to Schur.
     """
     real_eigh = scipy.linalg.eigh
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import dtcnet.diagnostics
 from dtcnet import (
     Configuration,
     SpinChainParams,
@@ -142,15 +141,6 @@ class TestMagnetizationSeries:
             sz_total = sum(pauli_string([(l, "z")], n).matrix for l in range(1, n + 1))
             dense = np.real(np.einsum("mi,ij,mj->m", states.conj(), sz_total, states)) / n
             assert np.abs(magnetization_series(U, initial, 6) - dense).max() < 1e-13
-
-    def test_cross_check_raises_on_convention_drift(self, monkeypatch):
-        # a population path with flipped spins must trip the cross-check
-        flipped = lambda n: -spin_z_table(n)
-        monkeypatch.setattr(dtcnet.diagnostics, "spin_z_table", flipped)
-        params = SpinChainParams(n=3, epsilon=0.07)
-        U = drive_unitary(params, sample_disorder(params, 23, 0))
-        with pytest.raises(RuntimeError, match="cross-check"):
-            magnetization_series(U, Configuration(index=6, n=3), 4)
 
 
 class TestBasisDynamics:

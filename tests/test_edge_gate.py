@@ -1,0 +1,63 @@
+"""The edge gate's verdict (tools/edge_gate.py), on synthetic reports."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "edge_gate", Path(__file__).resolve().parent.parent / "tools" / "edge_gate.py"
+)
+edge_gate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(edge_gate)
+
+
+def _graphs(*margins: float) -> dict:
+    flips = [
+        {"graph": f"sweep eps=0.012 r={r}", "pair": [r, r + 1], "added": True, "baseline_margin": m}
+        for r, m in enumerate(margins)
+    ]
+    return {"graphs": 600, "baseline_edges": 1000, "flips": len(flips), "flip_list": flips}
+
+
+def _csvs(files: int = 102, differing: tuple[str, ...] = ()) -> dict:
+    return {"files": files, "identical": files - len(differing), "differing": list(differing)}
+
+
+def _report(graphs: dict | None = None, csvs: dict | None = None) -> dict:
+    return {
+        "sweep_n8_fixture": graphs or _graphs(),
+        "sweep_n8_fresh_u2": _graphs(),
+        "ensemble_graphs": _graphs(),
+        "ensemble_csvs": csvs or _csvs(),
+    }
+
+
+def test_clean_report_passes():
+    assert edge_gate.failures(_report()) == []
+
+
+@pytest.mark.parametrize("margin", [0.0, 3e-15, -9.9e-12])
+def test_roundoff_flip_passes(margin):
+    assert edge_gate.failures(_report(graphs=_graphs(margin))) == []
+
+
+@pytest.mark.parametrize("margin", [1e-11, -1e-11, 2e-9, -0.3])
+def test_flip_at_or_above_the_margin_fails(margin):
+    (reason,) = edge_gate.failures(_report(graphs=_graphs(1e-15, margin)))
+    assert reason.startswith("sweep_n8_fixture: sweep eps=0.012 r=1 pair [1, 2] flipped")
+
+
+def test_differing_csv_fails():
+    csvs = _csvs(differing=("seed 1: gap_ratios.csv differs",))
+    assert edge_gate.failures(_report(csvs=csvs)) == ["ensemble_csvs: seed 1: gap_ratios.csv differs"]
+
+
+def test_differing_file_lists_fail():
+    csvs = _csvs(files=100, differing=("seed 2: file lists differ",))
+    assert edge_gate.failures(_report(csvs=csvs)) == ["ensemble_csvs: seed 2: file lists differ"]
+
+
+def test_every_reason_is_listed():
+    report = _report(graphs=_graphs(5e-10, 1e-16, -4e-8), csvs=_csvs(differing=("seed 0: a.csv differs",)))
+    assert len(edge_gate.failures(report)) == 3

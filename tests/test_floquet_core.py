@@ -228,7 +228,6 @@ def _schur_reference(op: FloquetOperator) -> FloquetSpectrum:
     lam = np.where(lam <= -cut, lam + 2.0 * cut, lam)
     order = np.argsort(lam, kind="stable")
     lam, states = lam[order], states[:, order]
-    floquet_core._reorthonormalize_clusters(lam, states)
     return FloquetSpectrum(
         quasienergies=lam, states=states, eigenvalues=eigenvalues[order], period=op.period
     )
@@ -241,6 +240,8 @@ def _random_unitary(dim: int, phases: np.ndarray, seed: int) -> np.ndarray:
 
 
 class TestBlockEigensolver:
+    """floquet_spectrum against one complex Schur per support block."""
+
     @pytest.mark.parametrize("n", [3, 6, 8])
     @pytest.mark.parametrize("eps", [0.0, 0.012, 0.1])
     @pytest.mark.parametrize("squared", [False, True])
@@ -263,15 +264,21 @@ class TestBlockEigensolver:
         )
 
     def test_folded_eigenphase_pairs_are_resplit(self, monkeypatch):
-        # eigenphases phi +- delta share the rotated Hermitian part's
-        # eigenvalue cos(delta) exactly: eigh alone cannot separate the
-        # pair, the cluster re-split must, without a Schur fallback
+        # eigenphases phi +- delta share the rotated cosine part's
+        # eigenvalue cos(delta) exactly: the real eigh alone cannot
+        # separate the pair, the cluster re-split must, without a Schur
+        # fallback. Q diag(e^{i phases}) Q^T with Q real orthogonal is a
+        # symmetric unitary, so the identity half pulse symmetrizes it.
         phi = floquet_core.SPECTRAL_ROTATION
         folded = np.array([phi - 1.7, phi - 0.9, phi - 0.3, phi + 0.3, phi + 0.9, phi + 1.7])
-        phases = np.concatenate([folded, [-2.9, -2.2, -1.2, 0.05, 2.5, 3.0]])
+        others = [-2.9, -2.6, -2.2, -1.9, -1.2, -0.4, 0.05, 2.5, 2.8, 3.0]
+        phases = np.concatenate([folded, others])
+        q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(phases.size, phases.size)))
         op = FloquetOperator(
-            matrix=_random_unitary(phases.size, phases, 7), period=1.0, params_hash="test"
+            matrix=(q * np.exp(1j * phases)) @ q.T, period=1.0, params_hash="test",
+            symmetrizer=np.eye(2, dtype=complex),
         )
+        calls = _record_solvers(monkeypatch)
         schur_sizes = []
         real_schur = scipy.linalg.schur
 
@@ -281,6 +288,7 @@ class TestBlockEigensolver:
 
         monkeypatch.setattr(scipy.linalg, "schur", recording_schur)
         spectrum = floquet_spectrum(op)
+        assert calls == [("symmetrized", phases.size)]
         assert spectrum.schur_fallbacks == 0
         assert schur_sizes and max(schur_sizes) < phases.size
         expected = np.sort(-np.angle(np.exp(1j * phases)))
@@ -304,18 +312,18 @@ class TestBlockEigensolver:
 def _record_solvers(monkeypatch) -> list[tuple[str, int]]:
     """Wrap both eigensolvers so each call is logged as (solver, size)."""
     calls = []
-    real_block = floquet_core._block_eigensystem
+    real_schur = floquet_core._schur_eigensystem
     real_symmetrized = floquet_core._symmetrized_eigensystem
 
-    def block(B):
-        calls.append(("block", B.shape[0]))
-        return real_block(B)
+    def schur(B):
+        calls.append(("schur", B.shape[0]))
+        return real_schur(B)
 
     def symmetrized(op):
         calls.append(("symmetrized", op.dim))
         return real_symmetrized(op)
 
-    monkeypatch.setattr(floquet_core, "_block_eigensystem", block)
+    monkeypatch.setattr(floquet_core, "_schur_eigensystem", schur)
     monkeypatch.setattr(floquet_core, "_symmetrized_eigensystem", symmetrized)
     return calls
 
@@ -349,11 +357,11 @@ class TestSymmetrizedSolver:
         calls.clear()
         zero = SpinChainParams(n=6, epsilon=0.0)
         floquet_spectrum(drive_unitary(zero, sample_disorder(zero, 3, 0)))
-        assert calls == [("block", 2)] * 32
+        assert calls == [("schur", 2)] * 32
         calls.clear()
         hand_made = FloquetOperator(matrix=U.matrix.copy(), period=U.period, params_hash="test")
         floquet_spectrum(hand_made)
-        assert calls == [("block", 64)]
+        assert calls == [("schur", 64)]
 
     @pytest.mark.parametrize("n", [2, 5, 7])
     @pytest.mark.parametrize("eps", [0.005, 0.5, 0.9])
@@ -378,7 +386,7 @@ class TestSymmetrizedSolver:
         U2 = squared_floquet(drive_unitary(params, sample_disorder(params, 6, 0)))
         calls = _record_solvers(monkeypatch)
         H = effective_hamiltonian(floquet_spectrum(U2)).matrix
-        assert calls == [("block", 1)] * 2**n
+        assert calls == [("schur", 1)] * 2**n
         assert np.count_nonzero(H - np.diag(H.diagonal())) == 0
 
     def test_symmetrizer_is_carried(self):
@@ -407,7 +415,7 @@ class TestSymmetrizedSolver:
         )
         calls = _record_solvers(monkeypatch)
         spectrum = floquet_spectrum(op)
-        assert calls == [("symmetrized", 64)]
+        assert calls == [("symmetrized", 64), ("schur", 64)]
         assert spectrum.schur_fallbacks == 1
         V = spectrum.states
         assert np.abs(op.matrix @ V - V * spectrum.eigenvalues).max() < 1e-13
@@ -415,16 +423,11 @@ class TestSymmetrizedSolver:
         reference = _schur_reference(U)
         assert np.abs(spectrum.quasienergies - reference.quasienergies).max() < 1e-13
 
-    def test_n10_edges_match_block_solver(self):
+    def test_n10_edges_match_schur_reference(self):
         params = SpinChainParams(n=10, epsilon=0.012)
         op = drive_unitary(params, sample_disorder(params, 1234, 0))
         spectrum = floquet_spectrum(op)
-        block = floquet_core._block_eigensystem(op.matrix)
-        assert not block.fallback
-        reference = floquet_core._sorted_spectrum(
-            block.values, block.vectors, op.period, 0, block.residual, block.gram_defect
-        )
-        del block
+        reference = _schur_reference(op)
         assert np.abs(spectrum.quasienergies - reference.quasienergies).max() < 1e-13
         edges = percolation_graph(effective_hamiltonian(spectrum)).edges
         assert edges == percolation_graph(effective_hamiltonian(reference)).edges
@@ -667,11 +670,7 @@ class TestTwoPeriodSpectrum:
         op = drive_unitary(params, sample_disorder(params, 3, 0))
         spectrum = floquet_spectrum(op)
         states = spectrum.states.copy()
-        solves = []
-        real_block = floquet_core._block_eigensystem
-        monkeypatch.setattr(
-            floquet_core, "_block_eigensystem", lambda B: solves.append(B.shape) or real_block(B)
-        )
+        solves = _record_solvers(monkeypatch)
         doubled = two_period_spectrum(op, spectrum)
         assert solves == []
         assert doubled.schur_fallbacks == 0

@@ -20,6 +20,10 @@ Each edge that is in one graph and not the other is a flip, listed with
 its margin |K_ij| - |E_i - E_j| in the baseline's effective Hamiltonian.
 The report also gives max |H - H_baseline|, the largest residual and
 Gram defect the checked spectra report, and their Schur fallbacks.
+
+The gate exits 1 when a flip's |margin| reaches FLIP_MARGIN, when an
+ensemble CSV differs, or when the two runs write different file lists;
+otherwise it exits 0.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ ENSEMBLE = {
 }
 GRAPH_SEEDS = range(6)
 CSV_SEEDS = range(3)
+# A flip whose baseline margin is below this in magnitude is roundoff:
+# the strict rule |K_ij| > |E_i - E_j| decided a tie either way.
+FLIP_MARGIN = 1e-11
 
 
 def load(src: Path, name: str):
@@ -156,8 +163,20 @@ def csv_gate(pkg, base) -> dict:
                 if new[name] == old[name]:
                     identical += 1
                 else:
-                    differing.append(f"seed {seed}: {name}")
+                    differing.append(f"seed {seed}: {name} differs")
     return {"files": files, "identical": identical, "differing": differing}
+
+
+def failures(report: dict) -> list[str]:
+    """Why the report fails the gate, one line per reason; empty if it passes."""
+    reasons = []
+    for name, part in report.items():
+        for flip in part.get("flip_list", ()):
+            margin = flip["baseline_margin"]
+            if abs(margin) >= FLIP_MARGIN:
+                reasons.append(f"{name}: {flip['graph']} pair {flip['pair']} flipped, margin {margin:.3e}")
+        reasons.extend(f"{name}: {item}" for item in part.get("differing", ()))
+    return reasons
 
 
 def main(argv=None) -> int:
@@ -180,7 +199,10 @@ def main(argv=None) -> int:
         args.output.write_text(text + "\n")
     summary = {k: {key: v for key, v in part.items() if key != "flip_list"} for k, part in report.items()}
     print(json.dumps(summary, indent=1))
-    return 0
+    reasons = failures(report)
+    for reason in reasons:
+        print(f"edge gate: {reason}", file=sys.stderr)
+    return 1 if reasons else 0
 
 
 if __name__ == "__main__":
