@@ -76,18 +76,18 @@ class FloquetOperator:
 
     A one-period drive propagator also keeps its factors
     U = diag(phase) R^(x n): phase is the 2^n Ising-step phase vector and
-    rotation the 2x2 pulse R on one spin. Operators built otherwise
-    (squared_floquet, hand-made ones) have neither, and apply falls
-    back to the dense matrix. symmetrizer, the half pulse R^(1/2), makes
-    S U S^H symmetric with S = (R^(1/2))^(x n); U and its square carry it.
+    theta the pulse angle, R = exp(-i theta sigma^x) on one spin. The
+    half pulse R^(1/2) = exp(-i theta/2 sigma^x) makes S U S^H symmetric
+    with S = (R^(1/2))^(x n). squared_floquet keeps theta but not phase;
+    hand-made operators have neither. Without phase, apply falls back to
+    the dense matrix; without theta, floquet_spectrum solves by Schur.
     """
 
     matrix: np.ndarray
     period: float
     params_hash: str
     phase: np.ndarray | None = None
-    rotation: np.ndarray | None = None
-    symmetrizer: np.ndarray | None = None
+    theta: float | None = None
 
     @property
     def dim(self) -> int:
@@ -101,7 +101,7 @@ class FloquetOperator:
         """
         if self.phase is None:
             return self.matrix @ states
-        Y = _kron_apply(self.rotation, states)
+        Y = _kron_apply(_x_rotation(self.theta), states)
         Y *= self.phase if Y.ndim == 1 else self.phase[:, None]
         return Y
 
@@ -203,15 +203,13 @@ def floquet_operator(H1: DenseOperator, H2: DenseOperator, params: SpinChainPara
 def _closed_form_propagator(params: SpinChainParams, diag: np.ndarray, c: float) -> FloquetOperator:
     """U = diag(exp(-i diag T2)) R^(x n), with R = exp(-i c T1 sigma^x) one pulsed spin."""
     theta = c * params.T1
-    rot = _x_rotation(theta)
     phase = np.exp(-1j * diag * params.T2)
     return FloquetOperator(
-        matrix=phase[:, None] * _kron_power(rot, params.n),
+        matrix=phase[:, None] * _kron_power(_x_rotation(theta), params.n),
         period=params.period,
         params_hash=_params_hash(params, diag, c),
         phase=phase,
-        rotation=rot,
-        symmetrizer=_x_rotation(0.5 * theta),
+        theta=theta,
     )
 
 
@@ -268,10 +266,10 @@ def drive_unitary(params: SpinChainParams, disorder: DisorderRealization) -> Flo
 
 
 def squared_floquet(op: FloquetOperator) -> FloquetOperator:
-    """Two-period propagator U^2; period doubles, hash and symmetrizer are preserved."""
+    """Two-period propagator U^2; period doubles, hash and pulse angle theta are preserved."""
     return FloquetOperator(
         matrix=op.matrix @ op.matrix, period=2.0 * op.period, params_hash=op.params_hash,
-        symmetrizer=op.symmetrizer,
+        theta=op.theta,
     )
 
 
@@ -279,12 +277,13 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
     """Diagonalize a unitary propagator block by block.
 
     The support graph of |U_ij| > SUPPORT_TOL is split into connected
-    components (_support_labels). A one-component U or U^2 of the drive
-    (an operator with a symmetrizer) is solved by one real orthogonal
-    eigensolve of its symmetrized form (_symmetrized_eigensystem), gated
-    on its residual and orthonormality, with a complex Schur of U as the
-    fallback. Every other block (the epsilon = 0 blocks, hand-made
-    operators) is solved by one complex Schur (_schur_eigensystem).
+    components (_support_components). A one-component U or U^2 of the
+    drive (an operator with a pulse angle theta) is solved by one real
+    orthogonal eigensolve of its symmetrized form
+    (_symmetrized_eigensystem), gated on its residual and
+    orthonormality, with a complex Schur of U as the fallback. Every
+    other block (the epsilon = 0 blocks, hand-made operators) is solved
+    by one complex Schur (_schur_eigensystem).
     Decoupled blocks therefore never mix: at zero rotation error the
     mirror-symmetric dimer pairs are exactly degenerate, and a dense
     solver would rotate them into each other at machine precision,
@@ -295,8 +294,8 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
     dim = U.shape[0]
     if U.shape != (dim, dim):
         raise ValueError("propagator must be square")
-    n_comp, labels = _support_labels(op)
-    if n_comp == 1 and op.symmetrizer is not None:
+    n_comp, labels = _support_components(U)
+    if n_comp == 1 and op.theta is not None:
         solved = [_symmetrized_eigensystem(op)]
         eigenvalues, states = solved[0].values, solved[0].vectors
     else:
@@ -328,30 +327,11 @@ def two_period_spectrum(op: FloquetOperator, spectrum: FloquetSpectrum) -> Floqu
     if spectrum.states.shape[0] != op.dim or spectrum.period != op.period:
         raise ValueError("spectrum does not belong to this propagator")
     squared = squared_floquet(op)
-    if not np.array_equal(_support_labels(op)[1], _support_components(squared.matrix)[1]):
+    labels = _support_components(op.matrix)[1]
+    if not np.array_equal(labels, _support_components(squared.matrix)[1]):
         return floquet_spectrum(squared)
     health = (spectrum.schur_fallbacks, spectrum.residual, spectrum.gram_defect)
     return _sorted_spectrum(spectrum.eigenvalues**2, spectrum.states, squared.period, *health)
-
-
-def _support_labels(op: FloquetOperator) -> tuple[int, np.ndarray]:
-    """_support_components(op.matrix), read off the factors where they decide it.
-
-    A factored U has |U_ij| = |sin theta|^d |cos theta|^(n-d) at Hamming
-    distance d. It is one component when the d = 1 entries clear
-    SUPPORT_TOL (single flips connect every configuration), or when the
-    d = n - 1 and d = n entries do (i to its complement, then to i with
-    one bit flipped), each by a factor 2 that the roundoff in U's entries
-    cannot bridge. Otherwise (the epsilon = 0 dimers, epsilon near 1,
-    operators without factors) the support is scanned.
-    """
-    if op.phase is not None:
-        n = op.dim.bit_length() - 1
-        c, s = np.abs(op.rotation[0])
-        tol = 2.0 * SUPPORT_TOL
-        if s * c ** (n - 1) > tol or min(s ** (n - 1) * c, s**n) > tol:
-            return 1, np.zeros(op.dim, dtype=np.int32)
-    return _support_components(op.matrix)
 
 
 def _support_components(U: np.ndarray) -> tuple[int, np.ndarray]:
@@ -425,9 +405,9 @@ def _symmetrized_eigensystem(op: FloquetOperator) -> _Eigensystem:
     """Eigenpairs of a drive propagator (U or U^2) from one real orthogonal eigensolve.
 
     Both drive steps are complex symmetric in the configuration basis,
-    so with the half pulse S = op.symmetrizer^(x n) the symmetrized
-    propagator U_s = S U S^H (S diag(phase) S, or its square for U^2)
-    is a symmetric unitary. Its real and imaginary parts are real
+    so with the half pulse S = exp(-i (op.theta/2) sigma^x)^(x n) the
+    symmetrized propagator U_s = S U S^H (S diag(phase) S, or its square
+    for U^2) is a symmetric unitary. Its real and imaginary parts are real
     symmetric and commute, and a real orthogonal O diagonalizes it: the
     structure of Dyson's circular orthogonal ensemble (Dyson, J. Math.
     Phys. 3, 140 (1962); Haake, Quantum Signatures of Chaos). One real
@@ -439,7 +419,7 @@ def _symmetrized_eigensystem(op: FloquetOperator) -> _Eigensystem:
     products, and V's Gram defect (ORTHONORMALITY_TOL); if either fails,
     U is solved by _schur_eigensystem instead, marked as a fallback.
     """
-    S = op.symmetrizer
+    S = _x_rotation(0.5 * op.theta)
     # U_s = (S U) S^H, S^H = (conj(S)^(x n))^T acting on the rows of S U;
     # each temporary is dropped once used, to keep the peak low
     SU = _kron_apply(S, op.matrix)

@@ -118,10 +118,11 @@ class TestFactoredPropagator:
     def test_factors_rebuild_matrix_exactly(self, n):
         params = SpinChainParams(n=n, epsilon=0.012)
         U = drive_unitary(params, sample_disorder(params, 71, 0))
-        assert U.phase.shape == (2**n,) and U.rotation.shape == (2, 2)
+        rotation = floquet_core._x_rotation(U.theta)
+        assert U.phase.shape == (2**n,) and rotation.shape == (2, 2)
         tensor_power = np.array([[1.0 + 0.0j]])
         for _ in range(n):
-            tensor_power = np.kron(tensor_power, U.rotation)
+            tensor_power = np.kron(tensor_power, rotation)
         assert np.array_equal(U.phase[:, None] * tensor_power, U.matrix)
 
     def test_reference_path_keeps_the_factors(self):
@@ -130,7 +131,7 @@ class TestFactoredPropagator:
         reference = floquet_operator(*build_drive(params, disorder), params)
         U = drive_unitary(params, disorder)
         assert np.array_equal(reference.phase, U.phase)
-        assert np.array_equal(reference.rotation, U.rotation)
+        assert reference.theta == U.theta
 
     @pytest.mark.parametrize("n", range(2, 10))
     @pytest.mark.parametrize("eps", [0.0, 0.012, 0.3])
@@ -147,7 +148,7 @@ class TestFactoredPropagator:
     def test_squared_operator_takes_dense_path(self):
         params = SpinChainParams(n=5, epsilon=0.04)
         U2 = squared_floquet(drive_unitary(params, sample_disorder(params, 83, 0)))
-        assert U2.phase is None and U2.rotation is None
+        assert U2.phase is None
         block = _random_states(32, 4, 1)
         assert np.array_equal(U2.apply(block), U2.matrix @ block)
         assert np.array_equal(U2.apply(block[:, 1]), U2.matrix @ block[:, 1])
@@ -268,7 +269,8 @@ class TestBlockEigensolver:
         # eigenvalue cos(delta) exactly: the real eigh alone cannot
         # separate the pair, the cluster re-split must, without a Schur
         # fallback. Q diag(e^{i phases}) Q^T with Q real orthogonal is a
-        # symmetric unitary, so the identity half pulse symmetrizes it.
+        # symmetric unitary, so the identity half pulse (theta = 0)
+        # symmetrizes it.
         phi = floquet_core.SPECTRAL_ROTATION
         folded = np.array([phi - 1.7, phi - 0.9, phi - 0.3, phi + 0.3, phi + 0.9, phi + 1.7])
         others = [-2.9, -2.6, -2.2, -1.9, -1.2, -0.4, 0.05, 2.5, 2.8, 3.0]
@@ -276,7 +278,7 @@ class TestBlockEigensolver:
         q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(phases.size, phases.size)))
         op = FloquetOperator(
             matrix=(q * np.exp(1j * phases)) @ q.T, period=1.0, params_hash="test",
-            symmetrizer=np.eye(2, dtype=complex),
+            theta=0.0,
         )
         calls = _record_solvers(monkeypatch)
         schur_sizes = []
@@ -394,25 +396,24 @@ class TestSymmetrizedSolver:
         U = drive_unitary(params, sample_disorder(params, 7, 0))
         theta = params.g * (1.0 - params.epsilon) * params.T1
         half_pulse = scipy.linalg.expm(-0.5j * theta * np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.abs(U.symmetrizer - half_pulse).max() < 1e-15
-        assert np.abs(U.symmetrizer @ U.symmetrizer - U.rotation).max() < 1e-15
-        U2 = squared_floquet(U)
-        assert U2.symmetrizer is U.symmetrizer
+        symmetrizer = floquet_core._x_rotation(0.5 * U.theta)
+        assert np.abs(symmetrizer - half_pulse).max() < 1e-15
+        rotation = floquet_core._x_rotation(U.theta)
+        assert np.abs(symmetrizer @ symmetrizer - rotation).max() < 1e-15
+        assert squared_floquet(U).theta == U.theta
         hand_made = FloquetOperator(matrix=U.matrix.copy(), period=U.period, params_hash="test")
-        assert hand_made.symmetrizer is None
+        assert hand_made.theta is None
 
     @pytest.mark.parametrize("squared", [False, True])
     def test_wrong_symmetrizer_falls_back_to_schur(self, monkeypatch, squared):
-        # a half pulse of another angle leaves S U S^H unsymmetric, so no
-        # real orthogonal basis passes the residual gate
+        # a pulse angle other than the drive's gives a half pulse that
+        # leaves S U S^H unsymmetric, so no real orthogonal basis passes
+        # the residual gate
         params = SpinChainParams(n=6, epsilon=0.05)
         U = drive_unitary(params, sample_disorder(params, 12, 0))
         if squared:
             U = squared_floquet(U)
-        wrong = floquet_core._x_rotation(0.3)
-        op = FloquetOperator(
-            matrix=U.matrix, period=U.period, params_hash="test", symmetrizer=wrong
-        )
+        op = FloquetOperator(matrix=U.matrix, period=U.period, params_hash="test", theta=0.6)
         calls = _record_solvers(monkeypatch)
         spectrum = floquet_spectrum(op)
         assert calls == [("symmetrized", 64), ("schur", 64)]
@@ -431,34 +432,6 @@ class TestSymmetrizedSolver:
         assert np.abs(spectrum.quasienergies - reference.quasienergies).max() < 1e-13
         edges = percolation_graph(effective_hamiltonian(spectrum)).edges
         assert edges == percolation_graph(effective_hamiltonian(reference)).edges
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    @pytest.mark.parametrize("eps", [0.0, 1e-12, 0.005, 0.5, 1.0 - 1e-12, 1.0])
-    def test_structural_support_matches_scan(self, monkeypatch, n, eps):
-        if n == 1:
-            # SpinChainParams needs n >= 2; the same closed form on one spin
-            theta = 0.5 * np.pi * (1.0 - eps)
-            c, s = np.cos(theta), -1j * np.sin(theta)
-            rotation, phase = np.array([[c, s], [s, c]]), np.exp([-0.4j, 1.1j])
-            op = FloquetOperator(
-                matrix=phase[:, None] * rotation, period=2.0, params_hash="test",
-                phase=phase, rotation=rotation,
-            )
-        else:
-            params = SpinChainParams(n=n, epsilon=eps)
-            op = drive_unitary(params, sample_disorder(params, 5, 0))
-        n_comp, labels = floquet_core._support_components(op.matrix)
-        scans = []
-        real_scan = floquet_core._support_components
-        monkeypatch.setattr(
-            floquet_core, "_support_components", lambda U: scans.append(U.shape) or real_scan(U)
-        )
-        got_comp, got_labels = floquet_core._support_labels(op)
-        assert got_comp == n_comp
-        assert np.array_equal(got_labels, labels)
-        # the factors decide the support except at the exact dimers
-        # (epsilon = 0, n >= 2) and at the diagonal U of epsilon = 1
-        assert bool(scans) == ((eps == 0.0 and n >= 2) or eps == 1.0)
 
     def test_health_fields(self):
         params = SpinChainParams(n=6, epsilon=0.012)
@@ -537,6 +510,16 @@ class TestSupportComponents:
         U[~same] = 0.1 * floquet_core.SUPPORT_TOL  # below the threshold
         assert floquet_core._support_components(U)[0] == components
         _assert_same_components(U)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 0.005, 0.5, 1.0 - 1e-12, 1.0])
+    def test_drive_grid(self, n, eps):
+        # the exact dimers (epsilon = 0), the diagonal U of epsilon = 1,
+        # and the near-threshold entries next to both
+        params = SpinChainParams(n=n, epsilon=eps)
+        op = drive_unitary(params, sample_disorder(params, 5, 0))
+        _assert_same_components(op.matrix)
+        _assert_same_components(squared_floquet(op).matrix)
 
     def test_one_way_mask(self, monkeypatch):
         # edges given in one direction only still join their nodes, and a
@@ -664,6 +647,21 @@ class TestTwoPeriodSpectrum:
         assert spectrum.branch_warnings == reference.branch_warnings
         H = effective_hamiltonian(spectrum).matrix
         assert np.count_nonzero(H - np.diag(H.diagonal())) == 0  # no couplings, hence no edges
+
+    def test_one_block_with_split_square_takes_the_fresh_solve(self):
+        # a 4-cycle U is one block, and U^2 (i -> i + 2) splits into
+        # {0, 2} and {1, 3}, all four onsite energies equal: U's vectors
+        # would leave roundoff couplings across the blocks at dE = 0,
+        # which the strict rule counts as edges
+        phis = np.array([0.3, -1.1, 0.7, 2.0])
+        U = np.zeros((4, 4), dtype=complex)
+        U[(np.arange(4) + 1) % 4, np.arange(4)] = np.exp(1j * phis)
+        op = FloquetOperator(matrix=U, period=1.0, params_hash="test")
+        assert floquet_core._support_components(U)[0] == 1
+        H = effective_hamiltonian(two_period_spectrum(op, floquet_spectrum(op)))
+        cross = np.arange(4)[:, None] % 2 != np.arange(4)[None, :] % 2
+        assert np.count_nonzero(H.matrix[cross]) == 0
+        assert all(i % 2 == j % 2 for i, j in percolation_graph(H).edges)
 
     def test_matching_blocks_reuse_the_eigenpairs(self, monkeypatch):
         params = SpinChainParams(n=6, epsilon=0.012)
