@@ -24,12 +24,17 @@ def _csvs(files: int = 102, differing: tuple[str, ...] = ()) -> dict:
     return {"files": files, "identical": files - len(differing), "differing": list(differing)}
 
 
-def _report(graphs: dict | None = None, csvs: dict | None = None) -> dict:
+def _verdicts(*differing: str) -> dict:
+    return {"samples": 42, "max_abs_dnR": 1e-6, "differing": list(differing)}
+
+
+def _report(graphs: dict | None = None, csvs: dict | None = None, verdicts: dict | None = None) -> dict:
     return {
         "sweep_n8_fixture": graphs or _graphs(),
         "sweep_n8_fresh_u2": _graphs(),
         "ensemble_graphs": _graphs(),
         "ensemble_csvs": csvs or _csvs(),
+        "degree_verdicts": verdicts or _verdicts(),
     }
 
 
@@ -56,6 +61,13 @@ def test_differing_csv_fails():
 def test_differing_file_lists_fail():
     csvs = _csvs(files=100, differing=("seed 2: file lists differ",))
     assert edge_gate.failures(_report(csvs=csvs)) == ["ensemble_csvs: seed 2: file lists differ"]
+
+
+def test_differing_degree_verdict_fails():
+    verdicts = _verdicts("ensemble seed=3 eps=0.012 2T: inconclusive -> lognormal")
+    assert edge_gate.failures(_report(verdicts=verdicts)) == [
+        "degree_verdicts: ensemble seed=3 eps=0.012 2T: inconclusive -> lognormal"
+    ]
 
 
 def test_every_reason_is_listed():

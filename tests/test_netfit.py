@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from dtcnet import (
+    EnsembleSpec,
     PowerLawFit,
+    SpinChainParams,
     avg_degree_by_domain_walls,
     kmin_scan,
     ks_distance,
@@ -13,6 +16,7 @@ from dtcnet import (
     percolation_graph,
     poisson_fit,
     powerlaw_mle,
+    realization_outputs,
 )
 from dtcnet.floquet_core import EffectiveHamiltonian
 from invariants import (
@@ -23,6 +27,24 @@ from invariants import (
     sample_discrete_lognormal,
     sample_discrete_powerlaw,
 )
+
+
+class TestDegreeInput:
+    def test_non_integer_rejected(self):
+        sample = sample_discrete_powerlaw(2.5, 3, 500, np.random.default_rng(2)).astype(float)
+        sample[0] = 1000.004  # within the relative tolerance 1e-5 of 1000
+        with pytest.raises(ValueError, match="degrees must be integers"):
+            kmin_scan(sample)
+        with pytest.raises(ValueError, match="degrees must be integers"):
+            log_binned_histogram(sample)
+
+    def test_integer_within_roundoff_accepted(self):
+        sample = sample_discrete_powerlaw(2.5, 3, 500, np.random.default_rng(2))
+        nudged = sample.astype(float)
+        nudged[0] = 7.0 + 1e-12
+        sample[0] = 7
+        assert kmin_scan(nudged) == kmin_scan(sample)
+        assert np.array_equal(log_binned_histogram(nudged).densities, log_binned_histogram(sample).densities)
 
 
 class TestLogBinnedHistogram:
@@ -147,7 +169,58 @@ class TestKminScan:
         assert fit.n_tail == int(np.count_nonzero(sample >= fit.k_min))
 
 
+def _best_of_nine(minimize):
+    """The former 3x3 grid of Nelder-Mead starts around the moment start, best fit of nine."""
+
+    def best(fun, x0, **kwargs):
+        mu0, sigma0 = x0
+        starts = [(m, s) for m in (mu0, 0.0, max(mu0 - 1.0, 0.0)) for s in (sigma0, 1.0, 2.0 * sigma0)]
+        return min((minimize(fun, x0=np.array(start), **kwargs) for start in starts), key=lambda res: res.fun)
+
+    return best
+
+
+def _ensemble_2T_degrees() -> np.ndarray:
+    """Pooled 2T degrees of the ensemble_n8 config (n = 8, three realizations) at seed 0, epsilon = 0.1."""
+    spec = EnsembleSpec(
+        params=SpinChainParams(n=8), epsilons=(0.1,), realizations=3, seed=0, tasks=frozenset({"graph"})
+    )
+    return np.concatenate([realization_outputs(spec, r)["graph"]["0p1"][1].degrees for r in range(3)])
+
+
 class TestLognormalLrTest:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sample_discrete_powerlaw(2.5, 5, 10**4, np.random.default_rng(1)),
+            lambda: sample_discrete_lognormal(1.0, 0.5, 10**4, np.random.default_rng(1)),
+            lambda: sample_discrete_lognormal(1.0, 0.5, 200, np.random.default_rng(9)),
+            _ensemble_2T_degrees,
+        ],
+        ids=["powerlaw-1e4", "lognormal-1e4", "lognormal-200", "ensemble-2T-eps0.1"],
+    )
+    def test_single_start_matches_best_of_nine(self, make, monkeypatch):
+        sample = make()
+        fit = kmin_scan(sample)
+        result = lognormal_lr_test(sample, fit)
+        monkeypatch.setattr(scipy.optimize, "minimize", _best_of_nine(scipy.optimize.minimize))
+        reference = lognormal_lr_test(sample, fit)
+        assert result.favored == reference.favored
+        assert abs(result.R - reference.R) <= 1e-5
+
+    def test_one_minimization_per_test(self, monkeypatch):
+        minimize = scipy.optimize.minimize
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counted)
+        sample = sample_discrete_powerlaw(2.5, 5, 2000, np.random.default_rng(3))
+        lognormal_lr_test(sample, kmin_scan(sample))
+        assert len(calls) == 1
+
     def test_powerlaw_sample_favors_powerlaw(self):
         sample = sample_discrete_powerlaw(2.5, 5, 10**4, np.random.default_rng(1))
         fit = kmin_scan(sample)

@@ -4,7 +4,7 @@
 
 Run from the root of a checkout; its ./src/dtcnet is compared with the
 baseline checkout's src/dtcnet, imported side by side in one process
-(the baseline as the package dtcnet_baseline). Four checks:
+(the baseline as the package dtcnet_baseline). Five checks:
 
 - the 600 spectra of the test suite's sweep_n8 fixture (n = 8, six
   epsilons, 100 realizations, seed 1234): the T graphs;
@@ -14,7 +14,11 @@ baseline checkout's src/dtcnet, imported side by side in one process
   three realizations) at seeds 0-5: the T and 2T graphs as the ensemble
   graph task builds them;
 - `dtcnet ensemble` on that config at seeds 0-2: every CSV it writes,
-  compared byte for byte.
+  compared byte for byte;
+- the degree-distribution verdicts: ensemble.degree_fit, each side on
+  its own graphs, over the pooled degrees of each fixture epsilon (T,
+  100 realizations) and of each seed, epsilon and period (T, 2T) of the
+  ensemble graphs above (three realizations).
 
 Each edge that is in one graph and not the other is a flip, listed with
 its margin |K_ij| - |E_i - E_j| in the baseline's effective Hamiltonian.
@@ -22,8 +26,9 @@ The report also gives max |H - H_baseline|, the largest residual and
 Gram defect the checked spectra report, and their Schur fallbacks.
 
 The gate exits 1 when a flip's |margin| reaches FLIP_MARGIN, when an
-ensemble CSV differs, or when the two runs write different file lists;
-otherwise it exits 0.
+ensemble CSV differs, when the two runs write different file lists, or
+when a degree fit's verdict (or its skip message) differs; otherwise it
+exits 0.
 """
 
 from __future__ import annotations
@@ -72,15 +77,20 @@ class Gate:
         self.flips: list[dict] = []
         self.max_dH = self.residual = self.gram_defect = 0.0
         self.fallbacks = 0
+        self.pools: dict[str, tuple[list, list]] = {}  # sample -> degrees of each side's graphs
 
-    def compare(self, label: str, pkg, base, spectra) -> None:
+    def compare(self, label: str, pkg, base, spectra, pool: str | None = None) -> None:
         (spectrum, H), (base_spectrum, base_H) = spectra
         self.residual = max(self.residual, getattr(spectrum, "residual", 0.0))
         self.gram_defect = max(self.gram_defect, getattr(spectrum, "gram_defect", 0.0))
         self.fallbacks += spectrum.schur_fallbacks
         self.max_dH = max(self.max_dH, float(np.abs(H.matrix - base_H.matrix).max()))
-        edges = pkg.percolation_graph(H).edges
-        base_edges = base.percolation_graph(base_H).edges
+        graph, base_graph = pkg.percolation_graph(H), base.percolation_graph(base_H)
+        if pool is not None:
+            new, old = self.pools.setdefault(pool, ([], []))
+            new.append(graph.degrees)
+            old.append(base_graph.degrees)
+        edges, base_edges = graph.edges, base_graph.edges
         self.graphs += 1
         self.edges += len(base_edges)
         energies = np.real(np.diag(base_H.matrix))
@@ -104,7 +114,7 @@ class Gate:
         }
 
 
-def sweep_gate(pkg, base, squared: bool = False) -> dict:
+def sweep_gate(pkg, base, squared: bool = False) -> Gate:
     """The fixture's T graphs, or with squared the 2T graphs of a fresh solve of U^2."""
     gate = Gate()
     for r in range(SWEEP["realizations"]):
@@ -115,11 +125,12 @@ def sweep_gate(pkg, base, squared: bool = False) -> dict:
                 U = p.drive_unitary(params, p.sample_disorder(params, SWEEP["seed"], r))
                 spectrum = p.floquet_spectrum(p.squared_floquet(U) if squared else U)
                 spectra.append((spectrum, p.effective_hamiltonian(spectrum)))
-            gate.compare(f"sweep{' U^2' if squared else ''} eps={eps:g} r={r}", pkg, base, spectra)
-    return gate.report()
+            label = f"sweep{' U^2' if squared else ''} eps={eps:g}"
+            gate.compare(f"{label} r={r}", pkg, base, spectra, pool=None if squared else f"{label} T")
+    return gate
 
 
-def ensemble_gate(pkg, base) -> dict:
+def ensemble_gate(pkg, base) -> Gate:
     gate = Gate()
     for seed in GRAPH_SEEDS:
         for r in range(ENSEMBLE["realizations"]):
@@ -132,9 +143,30 @@ def ensemble_gate(pkg, base) -> dict:
                     doubled = p.two_period_spectrum(U, spectrum)
                     T.append((spectrum, p.effective_hamiltonian(spectrum)))
                     T2.append((doubled, p.effective_hamiltonian(doubled)))
-                gate.compare(f"ensemble seed={seed} eps={eps:g} r={r} T", pkg, base, T)
-                gate.compare(f"ensemble seed={seed} eps={eps:g} r={r} 2T", pkg, base, T2)
-    return gate.report()
+                sample = f"ensemble seed={seed} eps={eps:g}"
+                gate.compare(f"{sample} r={r} T", pkg, base, T, pool=f"{sample} T")
+                gate.compare(f"{sample} r={r} 2T", pkg, base, T2, pool=f"{sample} 2T")
+    return gate
+
+
+def _verdict(pkg, degrees: list) -> tuple[str, float]:
+    try:
+        _, result = pkg.ensemble.degree_fit(np.concatenate(degrees))
+    except ValueError as exc:
+        return f"skipped: {exc}", 0.0
+    return result.favored, result.normalized_R
+
+
+def degree_gate(pkg, base, pools: dict[str, tuple[list, list]]) -> dict:
+    """degree_fit of each pooled sample on both sides: favored and normalized R."""
+    differing = []
+    max_dnR = 0.0
+    for sample, (new, old) in pools.items():
+        (favored, nR), (base_favored, base_nR) = _verdict(pkg, new), _verdict(base, old)
+        if favored != base_favored:
+            differing.append(f"{sample}: {base_favored} -> {favored}")
+        max_dnR = max(max_dnR, abs(nR - base_nR))
+    return {"samples": len(pools), "max_abs_dnR": max_dnR, "differing": differing}
 
 
 def run_ensemble_csvs(pkg, seed: int, out: Path) -> dict[str, bytes]:
@@ -188,11 +220,13 @@ def main(argv=None) -> int:
     base = load(args.baseline.resolve() / "src", "dtcnet_baseline")
     importlib.import_module("dtcnet.cli")
     importlib.import_module("dtcnet_baseline.cli")
+    fixture, ensemble = sweep_gate(pkg, base), ensemble_gate(pkg, base)
     report = {
-        "sweep_n8_fixture": sweep_gate(pkg, base),
-        "sweep_n8_fresh_u2": sweep_gate(pkg, base, squared=True),
-        "ensemble_graphs": ensemble_gate(pkg, base),
+        "sweep_n8_fixture": fixture.report(),
+        "sweep_n8_fresh_u2": sweep_gate(pkg, base, squared=True).report(),
+        "ensemble_graphs": ensemble.report(),
         "ensemble_csvs": csv_gate(pkg, base),
+        "degree_verdicts": degree_gate(pkg, base, {**fixture.pools, **ensemble.pools}),
     }
     text = json.dumps(report, indent=1)
     if args.output:
