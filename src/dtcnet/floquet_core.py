@@ -51,17 +51,11 @@ SUPPORT_TOL = 1e-13
 # folding of lambda is numerically unstable there.
 BRANCH_MARGIN = 1e-10
 ORTHONORMALITY_TOL = 1e-12
-# The real eigensolve (_symmetrized_eigensystem) diagonalizes a rotated
-# cosine part. The rotation angle is generic, so that no symmetry of the
-# drive places eigenphase pairs symmetrically about it.
+# The real eigensolve (_symmetrized_eigensystem) diagonalizes the Cayley
+# matrix of e^{-i phi} U_s, whose pole sits at the eigenphase phi + pi.
+# The angle phi is generic, so that no symmetry of the drive places an
+# eigenphase on that pole.
 SPECTRAL_ROTATION = 0.6180339887498949
-# Runs of rotated-cosine-part eigenvalues closer than this fraction of
-# their mean spacing 2/dim are re-split as one cluster. eigh mixes two
-# eigenvectors by about 1e-16/gap, and U_s's residual scales that by
-# |mu_i - mu_j|, which stays O(1) for eigenphases the cosine folds
-# together; re-splitting the close runs keeps the residual at the
-# Schur level (~1e-14 at n = 8 and 10).
-CLUSTER_SPACING = 0.25
 # Largest max |U Z - Z mu| the real solve may leave before Schur takes over.
 RESIDUAL_TOL = 1e-10
 # Deviation allowed when verifying the rigid drive shape (uniform
@@ -113,12 +107,12 @@ class FloquetSpectrum:
     branch_warnings lists eigenphases that sit within BRANCH_MARGIN of
     the +-pi cut, where the fold direction is not numerically robust.
     schur_fallbacks counts the real solves (_symmetrized_eigensystem)
-    that failed their residual or orthonormality gate and were replaced
-    by a complex Schur; a two_period_spectrum that reuses U's eigenpairs
-    has U's blocks and U's count. residual (max |B Z - Z mu|) and gram_defect
-    (max |Z^H Z - 1|) are the largest over the blocks, from whichever
-    solver produced each block's eigenpairs; a reusing two_period_spectrum
-    carries U's values too.
+    that failed their Cholesky, residual or orthonormality gate and were
+    replaced by a complex Schur; a two_period_spectrum that reuses U's
+    eigenpairs has U's blocks and U's count. residual (max |B Z - Z mu|)
+    and gram_defect (max |Z^H Z - 1|) are the largest over the blocks,
+    from whichever solver produced each block's eigenpairs; a reusing
+    two_period_spectrum carries U's values too.
     """
 
     quasienergies: np.ndarray
@@ -266,9 +260,13 @@ def drive_unitary(params: SpinChainParams, disorder: DisorderRealization) -> Flo
 
 
 def squared_floquet(op: FloquetOperator) -> FloquetOperator:
-    """Two-period propagator U^2; period doubles, hash and pulse angle theta are preserved."""
+    """Two-period propagator U^2; period doubles, hash and pulse angle theta are preserved.
+
+    U^2 is formed as U applied to U's matrix (FloquetOperator.apply): a
+    factored product for a drive U, the dense one otherwise.
+    """
     return FloquetOperator(
-        matrix=op.matrix @ op.matrix, period=2.0 * op.period, params_hash=op.params_hash,
+        matrix=op.apply(op.matrix), period=2.0 * op.period, params_hash=op.params_hash,
         theta=op.theta,
     )
 
@@ -279,8 +277,8 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
     The support graph of |U_ij| > SUPPORT_TOL is split into connected
     components (_support_components). A one-component U or U^2 of the
     drive (an operator with a pulse angle theta) is solved by one real
-    orthogonal eigensolve of its symmetrized form
-    (_symmetrized_eigensystem), gated on its residual and
+    orthogonal eigensolve of the Cayley matrix of its symmetrized form
+    (_symmetrized_eigensystem), gated on its Cholesky, residual and
     orthonormality, with a complex Schur of U as the fallback. Every
     other block (the epsilon = 0 blocks, hand-made operators) is solved
     by one complex Schur (_schur_eigensystem).
@@ -410,14 +408,19 @@ def _symmetrized_eigensystem(op: FloquetOperator) -> _Eigensystem:
     for U^2) is a symmetric unitary. Its real and imaginary parts are real
     symmetric and commute, and a real orthogonal O diagonalizes it: the
     structure of Dyson's circular orthogonal ensemble (Dyson, J. Math.
-    Phys. 3, 140 (1962); Haake, Quantum Signatures of Chaos). One real
-    eigh of Re(e^{-i phi} U_s), whose eigenvalues are cos(arg mu - phi),
-    gives O; _resplit re-splits its close runs and reads off
-    mu = diag(O^H U_s O); and U's eigenvectors are V = S^H O. S enters
-    only through factored products. The gates are U_s's residual
+    Phys. 3, 140 (1962); Haake, Quantum Signatures of Chaos). With
+    W = e^{-i phi} U_s = C + i B (phi = SPECTRAL_ROTATION), the Cayley
+    matrix K = (I + C)^{-1} B is real symmetric with eigenvalues
+    tan((arg mu - phi)/2), which is monotone in the eigenphase, so no two
+    eigenphases fold together (Higham, Functions of Matrices, SIAM 2008).
+    One Cholesky solve and one real eigh of K give O; mu = diag(O^T U_s O)
+    is read off, and U's eigenvectors are V = S^H O. S enters only
+    through factored products. The gates are U_s's residual
     (RESIDUAL_TOL), which is U's up to the roundoff of two unitary
     products, and V's Gram defect (ORTHONORMALITY_TOL); if either fails,
-    U is solved by _schur_eigensystem instead, marked as a fallback.
+    or I + C is not positive definite (an eigenphase at the pole
+    phi + pi, or an S that does not symmetrize U), U is solved by
+    _schur_eigensystem instead, marked as a fallback.
     """
     S = _x_rotation(0.5 * op.theta)
     # U_s = (S U) S^H, S^H = (conj(S)^(x n))^T acting on the rows of S U;
@@ -425,43 +428,43 @@ def _symmetrized_eigensystem(op: FloquetOperator) -> _Eigensystem:
     SU = _kron_apply(S, op.matrix)
     Us = _kron_apply(S.conj(), SU, rows=True)
     del SU
-    A = np.cos(SPECTRAL_ROTATION) * Us.real
-    A += np.sin(SPECTRAL_ROTATION) * Us.imag
-    # A is symmetric: A^T is the column-major array LAPACK overwrites with O
-    w, O = scipy.linalg.eigh(A.T, overwrite_a=True, check_finite=False, driver="evd")
-    del A
+    c, s = np.cos(SPECTRAL_ROTATION), np.sin(SPECTRAL_ROTATION)
+    # B before I + C: the other order left 16 MB more resident at n = 10
+    # (peak RSS of one T + 2T pipeline under glibc malloc), same values
+    B = c * Us.imag
+    B -= s * Us.real
+    IC = c * Us.real
+    IC += s * Us.imag
+    IC[np.diag_indices_from(IC)] += 1.0
+    # I + C and B are symmetric: their transposes are the column-major
+    # arrays LAPACK overwrites
+    try:
+        factor = scipy.linalg.cho_factor(IC.T, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return _schur_eigensystem(op.matrix)._replace(fallback=True)
+    del IC
+    K = scipy.linalg.cho_solve(factor, B.T, overwrite_b=True, check_finite=False)
+    del factor, B
+    # K + K^T is exactly symmetric and has K's eigenvectors; its
+    # transpose is the column-major view of the row-major sum
+    K = (K + K.T).T
+    _, O = scipy.linalg.eigh(K, overwrite_a=True, check_finite=False, driver="evd")
+    del K
     # U_s O = (O^T U_s)^T for symmetric U_s: one real product over the
     # (re, im) pairs of U_s instead of a complex one
-    BZ = (O.T @ Us.view(np.float64)).view(complex).T
+    UsO = (O.T @ Us.view(np.float64)).view(complex).T
     del Us
-    Z = O.astype(complex, order="C")  # row-major, so S^H Z reshapes without a copy
+    mu = np.einsum("ij,ij->j", O, UsO)
+    UsO -= O * mu
+    residual = float(np.abs(UsO).max())
+    del UsO
+    # row-major, so S^H O reshapes without a copy
+    V = _kron_apply(S.conj(), O.astype(complex, order="C"))
     del O
-    mu, residual = _resplit(w, Z, BZ)
-    del BZ
-    V = _kron_apply(S.conj(), Z)
-    del Z
     gram_defect = _gram_defect(V)
     if residual <= RESIDUAL_TOL and gram_defect <= ORTHONORMALITY_TOL:
         return _Eigensystem(mu, V, False, residual, gram_defect)
     return _schur_eigensystem(op.matrix)._replace(fallback=True)
-
-
-def _resplit(w: np.ndarray, Z: np.ndarray, BZ: np.ndarray) -> tuple[np.ndarray, float]:
-    """mu = diag(Z^H B Z) and max |B Z - Z mu| after re-splitting close runs.
-
-    w are the eigh eigenvalues behind the columns of Z, and BZ = B Z. A
-    run of w closer than CLUSTER_SPACING times their mean spacing may
-    hold eigenphases the cosine folds together, so each run's columns
-    Z_c are re-split by a complex Schur of Z_c^H B Z_c. Z and BZ are
-    updated in place; BZ is left holding B Z - Z mu.
-    """
-    for start, stop in _runs(w, CLUSTER_SPACING * 2.0 / w.size):
-        _, q = scipy.linalg.schur(Z[:, start:stop].conj().T @ BZ[:, start:stop], output="complex")
-        Z[:, start:stop] = Z[:, start:stop] @ q
-        BZ[:, start:stop] = BZ[:, start:stop] @ q
-    mu = np.einsum("ij,ij->j", Z.conj(), BZ)
-    BZ -= Z * mu
-    return mu, float(np.abs(BZ).max())
 
 
 def _gram_defect(Z: np.ndarray) -> float:
@@ -470,12 +473,6 @@ def _gram_defect(Z: np.ndarray) -> float:
     gram = scipy.linalg.blas.zherk(1.0, Z, trans=2)
     gram[np.diag_indices_from(gram)] -= 1.0
     return float(np.abs(gram).max())
-
-
-def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    """(start, stop) of each run of two or more sorted values with gaps below tol."""
-    bounds = [0, *(np.flatnonzero(np.diff(values) >= tol) + 1), values.size]
-    return [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b - a > 1]
 
 
 def effective_hamiltonian(spectrum: FloquetSpectrum) -> EffectiveHamiltonian:

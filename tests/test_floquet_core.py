@@ -1,5 +1,7 @@
 """Propagator construction, quasienergy spectra, effective Hamiltonians."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -264,41 +266,48 @@ class TestBlockEigensolver:
             == gap_ratios(reference.quasienergies).excluded_degenerate
         )
 
-    def test_folded_eigenphase_pairs_are_resplit(self, monkeypatch):
+    def test_folded_eigenphase_pairs_need_no_schur(self, monkeypatch):
         # eigenphases phi +- delta share the rotated cosine part's
-        # eigenvalue cos(delta) exactly: the real eigh alone cannot
-        # separate the pair, the cluster re-split must, without a Schur
-        # fallback. Q diag(e^{i phases}) Q^T with Q real orthogonal is a
-        # symmetric unitary, so the identity half pulse (theta = 0)
-        # symmetrizes it.
+        # eigenvalue cos(delta) exactly; the Cayley matrix's tan(+-delta/2)
+        # keeps them apart, so the real solve alone separates each pair,
+        # with no Schur of any size. Q diag(e^{i phases}) Q^T with Q real
+        # orthogonal is a symmetric unitary, so the identity half pulse
+        # (theta = 0) symmetrizes it.
         phi = floquet_core.SPECTRAL_ROTATION
         folded = np.array([phi - 1.7, phi - 0.9, phi - 0.3, phi + 0.3, phi + 0.9, phi + 1.7])
         others = [-2.9, -2.6, -2.2, -1.9, -1.2, -0.4, 0.05, 2.5, 2.8, 3.0]
         phases = np.concatenate([folded, others])
-        q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(phases.size, phases.size)))
-        op = FloquetOperator(
-            matrix=(q * np.exp(1j * phases)) @ q.T, period=1.0, params_hash="test",
-            theta=0.0,
-        )
+        op = _symmetric_unitary(phases, seed=7)
         calls = _record_solvers(monkeypatch)
-        schur_sizes = []
-        real_schur = scipy.linalg.schur
-
-        def recording_schur(a, *args, **kwargs):
-            schur_sizes.append(a.shape[0])
-            return real_schur(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "schur", recording_schur)
+        schur_sizes = _record_schur_sizes(monkeypatch)
         spectrum = floquet_spectrum(op)
         assert calls == [("symmetrized", phases.size)]
         assert spectrum.schur_fallbacks == 0
-        assert schur_sizes and max(schur_sizes) < phases.size
+        assert schur_sizes == []
         expected = np.sort(-np.angle(np.exp(1j * phases)))
         assert np.abs(spectrum.quasienergies - expected).max() < 1e-13
         mu = np.exp(-1j * spectrum.quasienergies)
         V = spectrum.states
         assert np.abs(op.matrix @ V - V * mu).max() < 1e-13
         assert np.abs(V.conj().T @ V - np.eye(phases.size)).max() < 1e-13
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_eigenphase_at_the_cayley_pole_falls_back_to_schur(self, seed):
+        # an eigenphase at phi + pi makes I + C singular to roundoff. At
+        # seed 11 its Cholesky fails, and the failure is a failed gate;
+        # at seed 0 it passes with a pivot near 1e-16 and the residual
+        # gate fails. Either way the Schur solve answers, without an
+        # error or a warning.
+        pole = floquet_core.SPECTRAL_ROTATION + np.pi
+        others = [-2.9, -2.2, -1.2, -0.4, 0.05, 0.9, 1.6]
+        op = _symmetric_unitary(np.array([pole, *others]), seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spectrum = floquet_spectrum(op)
+        reference = _schur_reference(op)
+        assert spectrum.schur_fallbacks == 1
+        assert np.array_equal(spectrum.quasienergies, reference.quasienergies)
+        assert np.array_equal(spectrum.states, reference.states)
 
     def test_gate_failure_falls_back_to_schur(self, skewed_eigh):
         params = SpinChainParams(n=6, epsilon=0.012)
@@ -309,6 +318,27 @@ class TestBlockEigensolver:
         assert np.array_equal(spectrum.quasienergies, reference.quasienergies)
         assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
         assert np.array_equal(spectrum.states, reference.states)
+
+
+def _symmetric_unitary(phases: np.ndarray, seed: int) -> FloquetOperator:
+    """Q diag(e^{i phases}) Q^T with Q real orthogonal, marked with the identity half pulse."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(phases.size, phases.size)))
+    return FloquetOperator(
+        matrix=(q * np.exp(1j * phases)) @ q.T, period=1.0, params_hash="test", theta=0.0
+    )
+
+
+def _record_schur_sizes(monkeypatch) -> list[int]:
+    """Wrap scipy.linalg.schur so the size of each matrix it decomposes is logged."""
+    sizes = []
+    real_schur = scipy.linalg.schur
+
+    def recording_schur(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real_schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", recording_schur)
+    return sizes
 
 
 def _record_solvers(monkeypatch) -> list[tuple[str, int]]:
@@ -333,8 +363,10 @@ def _record_solvers(monkeypatch) -> list[tuple[str, int]]:
 def _check_against_schur(monkeypatch, op: FloquetOperator) -> None:
     """op takes the real path, and its spectrum agrees with the Schur reference."""
     calls = _record_solvers(monkeypatch)
+    schur_sizes = _record_schur_sizes(monkeypatch)
     spectrum = floquet_spectrum(op)
     assert calls == [("symmetrized", op.dim)]
+    assert schur_sizes == []
     reference = _schur_reference(op)
     assert spectrum.schur_fallbacks == 0
     assert np.abs(spectrum.quasienergies - reference.quasienergies).max() < 1e-13
