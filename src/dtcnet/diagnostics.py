@@ -171,12 +171,9 @@ def magnetization_series(U: FloquetOperator, initial: Configuration, N: int) -> 
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    n = U.dim.bit_length() - 1
-    if initial.n != n or 2**n != U.dim:
-        raise ValueError("initial configuration does not match the propagator dimension")
     states = stroboscopic_evolve(U, initial, N)
-    sz_total = spin_z_table(n).sum(axis=1)
-    return np.real(np.einsum("mi,i,mi->m", states.conj(), sz_total, states)) / n
+    sz_total = spin_z_table(initial.n).sum(axis=1)
+    return np.real(np.einsum("mi,i,mi->m", states.conj(), sz_total, states)) / initial.n
 
 
 def power_spectrum(series, period: float = 2.0) -> PowerSpectrum:
@@ -223,9 +220,6 @@ def walk_populations(U: FloquetOperator, initial: Configuration, N: int) -> Walk
     """Configuration populations |<i|psi(mT)>|^2 for m = 0..N."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    n = U.dim.bit_length() - 1
-    if initial.n != n or 2**n != U.dim:
-        raise ValueError("initial configuration does not match the propagator dimension")
     populations = np.abs(stroboscopic_evolve(U, initial, N)) ** 2
     row_defect = np.abs(populations.sum(axis=1) - 1.0).max()
     if row_defect > 1e-10:

@@ -112,7 +112,9 @@ class FloquetSpectrum:
     eigenpairs has U's blocks and U's count. residual (max |B Z - Z mu|)
     and gram_defect (max |Z^H Z - 1|) are the largest over the blocks,
     from whichever solver produced each block's eigenpairs; a reusing
-    two_period_spectrum carries U's values too.
+    two_period_spectrum carries U's values too. The real solve reads
+    both on its real basis O in the symmetrized frame; the returned
+    vectors S^H O match them up to the roundoff of the unitary S.
     """
 
     quasienergies: np.ndarray
@@ -415,12 +417,13 @@ def _symmetrized_eigensystem(op: FloquetOperator) -> _Eigensystem:
     eigenphases fold together (Higham, Functions of Matrices, SIAM 2008).
     One Cholesky solve and one real eigh of K give O; mu = diag(O^T U_s O)
     is read off, and U's eigenvectors are V = S^H O. S enters only
-    through factored products. The gates are U_s's residual
-    (RESIDUAL_TOL), which is U's up to the roundoff of two unitary
-    products, and V's Gram defect (ORTHONORMALITY_TOL); if either fails,
-    or I + C is not positive definite (an eigenphase at the pole
-    phi + pi, or an S that does not symmetrize U), U is solved by
-    _schur_eigensystem instead, marked as a fallback.
+    through factored products. Both gates read the real O: U_s's
+    residual (RESIDUAL_TOL), which is U's up to the roundoff of two
+    unitary products, and O's Gram defect (ORTHONORMALITY_TOL), which is
+    V's up to the roundoff of S. If either fails, or I + C is not
+    positive definite (an eigenphase at the pole phi + pi, or an S that
+    does not symmetrize U), U is solved by _schur_eigensystem instead,
+    marked as a fallback; V is formed only for a basis that passed.
     """
     S = _x_rotation(0.5 * op.theta)
     # U_s = (S U) S^H, S^H = (conj(S)^(x n))^T acting on the rows of S U;
@@ -458,19 +461,17 @@ def _symmetrized_eigensystem(op: FloquetOperator) -> _Eigensystem:
     UsO -= O * mu
     residual = float(np.abs(UsO).max())
     del UsO
+    gram_defect = _gram_defect(O)
+    if residual > RESIDUAL_TOL or gram_defect > ORTHONORMALITY_TOL:
+        return _schur_eigensystem(op.matrix)._replace(fallback=True)
     # row-major, so S^H O reshapes without a copy
     V = _kron_apply(S.conj(), O.astype(complex, order="C"))
-    del O
-    gram_defect = _gram_defect(V)
-    if residual <= RESIDUAL_TOL and gram_defect <= ORTHONORMALITY_TOL:
-        return _Eigensystem(mu, V, False, residual, gram_defect)
-    return _schur_eigensystem(op.matrix)._replace(fallback=True)
+    return _Eigensystem(mu, V, False, residual, gram_defect)
 
 
 def _gram_defect(Z: np.ndarray) -> float:
-    """max |Z^H Z - 1|."""
-    # Z^H Z, upper triangle only; the lower one is left zero
-    gram = scipy.linalg.blas.zherk(1.0, Z, trans=2)
+    """max |Z^H Z - 1|; for a real Z, Z.conj() is Z and numpy forms Z^T Z by syrk."""
+    gram = Z.conj().T @ Z
     gram[np.diag_indices_from(gram)] -= 1.0
     return float(np.abs(gram).max())
 
@@ -517,14 +518,17 @@ def stroboscopic_evolve(
 ) -> np.ndarray:
     """States at m = 0..num_periods periods, one per row.
 
-    initial may be a Configuration (mapped to its basis vector) or any
-    state vector. Row m is U^m psi0 computed by repeated application
-    (FloquetOperator.apply), not by powering the matrix, so roundoff
-    grows only linearly in m.
+    initial may be a Configuration of the propagator's chain length
+    (2^initial.n == op.dim; mapped to its basis vector) or any state
+    vector of length op.dim. Row m is U^m psi0 computed by repeated
+    application (FloquetOperator.apply), not by powering the matrix, so
+    roundoff grows only linearly in m.
     """
     if num_periods < 0:
         raise ValueError("num_periods must be >= 0")
     if isinstance(initial, Configuration):
+        if 2**initial.n != op.dim:
+            raise ValueError("initial configuration does not match the propagator dimension")
         psi0 = np.zeros(op.dim, dtype=complex)
         psi0[initial.index] = 1.0
     else:

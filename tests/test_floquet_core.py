@@ -19,12 +19,14 @@ from dtcnet import (
     floquet_spectrum,
     gap_ratios,
     interaction_energies,
+    magnetization_series,
     pauli_string,
     percolation_graph,
     sample_disorder,
     squared_floquet,
     stroboscopic_evolve,
     two_period_spectrum,
+    walk_populations,
 )
 from dtcnet import floquet_core
 from dtcnet.floquet_core import FloquetOperator, FloquetSpectrum, drive_unitary
@@ -319,6 +321,30 @@ class TestBlockEigensolver:
         assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
         assert np.array_equal(spectrum.states, reference.states)
 
+    def test_gram_gate_alone_falls_back_to_schur(self, monkeypatch):
+        # column 0 of the eigh basis scaled by 1 + 1e-11: its residual
+        # (about 4e-12) passes RESIDUAL_TOL, its Gram defect (about 2e-11)
+        # fails ORTHONORMALITY_TOL, so only the Gram gate sends it to Schur
+        real_eigh = scipy.linalg.eigh
+
+        def stretched(*args, **kwargs):
+            w, z = real_eigh(*args, **kwargs)
+            z[:, 0] *= 1.0 + 1e-11
+            return w, z
+
+        monkeypatch.setattr(scipy.linalg, "eigh", stretched)
+        params = SpinChainParams(n=6, epsilon=0.012)
+        op = drive_unitary(params, sample_disorder(params, 1234, 0))
+        with monkeypatch.context() as gate_off:
+            gate_off.setattr(floquet_core, "ORTHONORMALITY_TOL", np.inf)
+            assert floquet_spectrum(op).schur_fallbacks == 0
+        spectrum = floquet_spectrum(op)
+        reference = _schur_reference(op)
+        assert spectrum.schur_fallbacks == 1
+        assert np.array_equal(spectrum.quasienergies, reference.quasienergies)
+        assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
+        assert np.array_equal(spectrum.states, reference.states)
+
 
 def _symmetric_unitary(phases: np.ndarray, seed: int) -> FloquetOperator:
     """Q diag(e^{i phases}) Q^T with Q real orthogonal, marked with the identity half pulse."""
@@ -374,6 +400,9 @@ def _check_against_schur(monkeypatch, op: FloquetOperator) -> None:
     H_ref = effective_hamiltonian(reference)
     assert np.abs(H.matrix - H_ref.matrix).max() < 1e-11
     assert percolation_graph(H).edges == percolation_graph(H_ref).edges
+    # the Gram defect is read on the real basis O; it bounds S^H O's too
+    V = spectrum.states
+    assert np.abs(V.conj().T @ V - np.eye(op.dim)).max() <= spectrum.gram_defect + 1e-14
 
 
 class TestSymmetrizedSolver:
@@ -840,3 +869,12 @@ class TestStroboscopicEvolve:
     def test_negative_periods_rejected(self):
         with pytest.raises(ValueError):
             stroboscopic_evolve(_identity_floquet(4), Configuration(index=1, n=2), -1)
+
+    @pytest.mark.parametrize("evolve", [stroboscopic_evolve, magnetization_series, walk_populations])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_configuration_of_another_chain_length_rejected(self, evolve, n):
+        # configuration 5 of 3 or 5 sites must not run as 0101 of 4 sites
+        params = SpinChainParams(n=4, epsilon=0.05)
+        U = drive_unitary(params, sample_disorder(params, 5, 0))
+        with pytest.raises(ValueError, match="does not match the propagator dimension"):
+            evolve(U, Configuration(index=5, n=n), 3)

@@ -81,8 +81,8 @@ class Gate:
 
     def compare(self, label: str, pkg, base, spectra, pool: str | None = None) -> None:
         (spectrum, H), (base_spectrum, base_H) = spectra
-        self.residual = max(self.residual, getattr(spectrum, "residual", 0.0))
-        self.gram_defect = max(self.gram_defect, getattr(spectrum, "gram_defect", 0.0))
+        self.residual = max(self.residual, spectrum.residual)
+        self.gram_defect = max(self.gram_defect, spectrum.gram_defect)
         self.fallbacks += spectrum.schur_fallbacks
         self.max_dH = max(self.max_dH, float(np.abs(H.matrix - base_H.matrix).max()))
         graph, base_graph = pkg.percolation_graph(H), base.percolation_graph(base_H)
