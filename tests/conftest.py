@@ -90,8 +90,8 @@ def sweep_n8():
 def skewed_eigh(monkeypatch):
     """Make every scipy.linalg.eigh basis non-orthonormal.
 
-    floquet_spectrum's real solve of a drive propagator then fails its
-    orthonormality gate and falls back to Schur.
+    floquet_spectrum's real solve of a drive propagator then fails both
+    its residual and its orthonormality gate and falls back to Schur.
     """
     real_eigh = scipy.linalg.eigh
 
