@@ -241,6 +241,8 @@ def walk_horizon_periods(params: SpinChainParams) -> int:
     if params.epsilon <= 0.0:
         raise ValueError("epsilon must be positive: the tunneling time diverges at 0")
     tau_over_T = 1.0 / (params.g * params.epsilon * params.T1)
+    if tau_over_T == float("inf"):
+        raise ValueError(f"epsilon = {params.epsilon:g} is too small: the tunneling horizon overflows")
     return max(1, int(round(tau_over_T)))
 
 

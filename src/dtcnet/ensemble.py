@@ -94,6 +94,14 @@ class EnsembleSpec:
             raise ValueError("periods must be >= 2")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        # the walk's (horizon + 1) x 2^n population table is held to the dense-matrix limit
+        for e in (e for e in self.epsilons if e > 0 and "walk" in self.tasks):
+            horizon = walk_horizon_periods(replace(self.params, epsilon=e))
+            if (horizon + 1) * 2**self.params.n > 4**MAX_SITES:
+                raise ValueError(
+                    f"the walk at epsilon = {e:g} runs {horizon:.4g} periods: its population table of "
+                    f"(horizon + 1) x 2^{self.params.n} entries exceeds the dense-matrix limit 4^{MAX_SITES}"
+                )
 
     @classmethod
     def from_json(cls, payload: dict) -> "EnsembleSpec":

@@ -163,59 +163,48 @@ def export_graph(g: PercolationGraph, format: str) -> bytes:
     src,dst rows only; node attributes travel in a companion file (see
     export_nodes_csv).
     """
+    edges = zip(g.rows.tolist(), g.cols.tolist())
     if format == "dot":
-        return _to_dot(g)
-    if format == "graphml":
-        return _to_graphml(g)
-    if format == "edge-csv":
-        lines = ["src,dst"]
-        lines += [f"{i},{j}" for i, j in zip(g.rows.tolist(), g.cols.tolist())]
-        return ("\n".join(lines) + "\n").encode()
-    raise ValueError(f"unsupported format {format!r}; expected one of {EXPORT_FORMATS}")
+        lines = ["graph configuration_space {"]
+        lines += [f'  {i} [label="{label}" domain_walls={walls} degree={degree}];'
+                  for i, label, walls, degree in _nodes(g)]
+        lines += [f"  {i} -- {j};" for i, j in edges]
+        lines.append("}")
+    elif format == "graphml":
+        lines = [
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+            '  <key id="label" for="node" attr.name="label" attr.type="string"/>',
+            '  <key id="domain_walls" for="node" attr.name="domain_walls" attr.type="int"/>',
+            '  <key id="degree" for="node" attr.name="degree" attr.type="int"/>',
+            '  <graph id="configuration_space" edgedefault="undirected">',
+        ]
+        for i, label, walls, degree in _nodes(g):
+            lines += [
+                f'    <node id="n{i}">',
+                f'      <data key="label">{label}</data>',
+                f'      <data key="domain_walls">{walls}</data>',
+                f'      <data key="degree">{degree}</data>',
+                "    </node>",
+            ]
+        lines += [f'    <edge source="n{i}" target="n{j}"/>' for i, j in edges]
+        lines += ["  </graph>", "</graphml>"]
+    elif format == "edge-csv":
+        lines = ["src,dst"] + [f"{i},{j}" for i, j in edges]
+    else:
+        raise ValueError(f"unsupported format {format!r}; expected one of {EXPORT_FORMATS}")
+    return ("\n".join(lines) + "\n").encode()
 
 
 def export_nodes_csv(g: PercolationGraph) -> bytes:
     """Companion node table: id,label,domain_walls,degree."""
-    width = g.num_nodes.bit_length() - 1
     lines = ["id,label,domain_walls,degree"]
-    lines += [
-        f"{i},{format(i, f'0{width}b')},{int(g.domain_walls[i])},{int(g.degrees[i])}"
-        for i in range(g.num_nodes)
-    ]
+    lines += [f"{i},{label},{walls},{degree}" for i, label, walls, degree in _nodes(g)]
     return ("\n".join(lines) + "\n").encode()
 
 
-def _to_dot(g: PercolationGraph) -> bytes:
+def _nodes(g: PercolationGraph):
+    """The node table every export renders: (index, n-bit label, domain walls, degree), by index."""
     width = g.num_nodes.bit_length() - 1
-    out = ["graph configuration_space {"]
-    for i in range(g.num_nodes):
-        out.append(
-            f'  {i} [label="{format(i, f"0{width}b")}" domain_walls={int(g.domain_walls[i])}'
-            f" degree={int(g.degrees[i])}];"
-        )
-    for i, j in zip(g.rows.tolist(), g.cols.tolist()):
-        out.append(f"  {i} -- {j};")
-    out.append("}")
-    return ("\n".join(out) + "\n").encode()
-
-
-def _to_graphml(g: PercolationGraph) -> bytes:
-    width = g.num_nodes.bit_length() - 1
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '  <key id="label" for="node" attr.name="label" attr.type="string"/>',
-        '  <key id="domain_walls" for="node" attr.name="domain_walls" attr.type="int"/>',
-        '  <key id="degree" for="node" attr.name="degree" attr.type="int"/>',
-        '  <graph id="configuration_space" edgedefault="undirected">',
-    ]
-    for i in range(g.num_nodes):
-        out.append(f'    <node id="n{i}">')
-        out.append(f'      <data key="label">{format(i, f"0{width}b")}</data>')
-        out.append(f'      <data key="domain_walls">{int(g.domain_walls[i])}</data>')
-        out.append(f'      <data key="degree">{int(g.degrees[i])}</data>')
-        out.append("    </node>")
-    for i, j in zip(g.rows.tolist(), g.cols.tolist()):
-        out.append(f'    <edge source="n{i}" target="n{j}"/>')
-    out += ["  </graph>", "</graphml>"]
-    return ("\n".join(out) + "\n").encode()
+    labels = (format(i, f"0{width}b") for i in range(g.num_nodes))
+    return zip(range(g.num_nodes), labels, g.domain_walls.tolist(), g.degrees.tolist())

@@ -94,6 +94,7 @@ class TestValidation:
             ["graph", "--n", "4", "--epsilon", "0.01,0.02"],  # single-eps command
             ["graph", "--n", "4", "--epsilon", "abc"],
             ["graph", "--n", "4", "--epsilon", "-0.5"],
+            ["graph", "--n", "4", "--epsilon", ","],  # no value in the list
             ["graph", "--n", "1", "--epsilon", "0"],  # chain needs >= 2 sites
             ["graph", "--n", "4", "--epsilon", "0", "--format", "gexf"],
             ["walk", "--n", "4", "--epsilon", "0"],  # horizon diverges
@@ -248,6 +249,25 @@ class TestSizeLimit:
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error: n = {n} exceeds the dense-matrix limit")
         assert "\n" not in err
+
+    @pytest.mark.parametrize("argv", [["walk", "--n", "4", "--epsilon", "1e-7"], ["ensemble"]])
+    def test_walk_horizon_beyond_the_limit_exits_1(self, argv, tmp_path, capsys, monkeypatch):
+        # 6.4e6 periods: the (horizon + 1) x 16 population table exceeds 4^MAX_SITES entries
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a dense build was started")
+
+        for module in (dtcnet.cli, dtcnet.ensemble):
+            monkeypatch.setattr(module, "drive_unitary", forbidden)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"params": {"n": 4}, "epsilons": [0.1, 1e-7], "realizations": 1, "seed": 0, "tasks": ["walk"]}
+        ))
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the walk at epsilon = 1e-07 runs 6.366e+06 periods: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_limit_is_the_largest_allowed_size(self):
         dtcnet.ensemble.check_size(dtcnet.MAX_SITES)
@@ -610,6 +630,13 @@ class TestDegreeFitCommand:
         self._write_degrees(src, degrees, header=False)
         assert main(["degree-fit", str(src), "--out-dir", str(tmp_path)]) == 0
         assert (tmp_path / "degree-fit.csv").exists()
+
+    def test_empty_file_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "degrees.csv"
+        src.write_text("")
+        assert main(["degree-fit", str(src), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {src} is empty\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unparseable_column_exits_1(self, tmp_path, capsys):
         src = tmp_path / "degrees.csv"

@@ -266,6 +266,11 @@ class TestWalkPopulations:
         record = walk_populations(_identity(8), Configuration(index=3, n=3), 5)
         assert np.all(record.populations[:, 3] == 1.0)
 
+    def test_non_unitary_operator_rejected(self):
+        doubling = FloquetOperator(matrix=2.0 * np.eye(4, dtype=complex), period=2.0, params_hash="test")
+        with pytest.raises(RuntimeError, match="walk populations not normalized"):
+            walk_populations(doubling, Configuration(index=1, n=2), 1)
+
     def test_rows_normalized(self):
         params = SpinChainParams(n=5, epsilon=0.08)
         U = drive_unitary(params, sample_disorder(params, 251, 0))
@@ -324,6 +329,11 @@ class TestPrDistribution:
 
     def test_horizon_floor_at_one_period(self):
         assert walk_horizon_periods(SpinChainParams(n=4, epsilon=5.0)) == 1
+
+    def test_horizon_overflow_rejected(self):
+        # 1 / (g eps T1) is inf at the smallest subnormal epsilon
+        with pytest.raises(ValueError, match="tunneling horizon overflows"):
+            walk_horizon_periods(SpinChainParams(n=4, epsilon=5e-324))
 
     def test_zero_error_rejected(self):
         params = SpinChainParams(n=4, epsilon=0.0)

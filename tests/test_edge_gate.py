@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import dtcnet
+
 _spec = importlib.util.spec_from_file_location(
     "edge_gate", Path(__file__).resolve().parent.parent / "tools" / "edge_gate.py"
 )
@@ -28,11 +30,19 @@ def _verdicts(*differing: str) -> dict:
     return {"samples": 42, "max_abs_dnR": 1e-6, "differing": list(differing)}
 
 
-def _report(graphs: dict | None = None, csvs: dict | None = None, verdicts: dict | None = None) -> dict:
+def _exports(*differing: str) -> dict:
+    documents = 432
+    return {"documents": documents, "identical": documents - len(differing), "skipped_flipped": 0,
+            "differing": list(differing)}
+
+
+def _report(graphs: dict | None = None, csvs: dict | None = None, verdicts: dict | None = None,
+            exports: dict | None = None) -> dict:
     return {
         "sweep_n8_fixture": graphs or _graphs(),
         "sweep_n8_fresh_u2": _graphs(),
         "ensemble_graphs": _graphs(),
+        "ensemble_exports": exports or _exports(),
         "ensemble_csvs": csvs or _csvs(),
         "degree_verdicts": verdicts or _verdicts(),
     }
@@ -68,6 +78,48 @@ def test_differing_degree_verdict_fails():
     assert edge_gate.failures(_report(verdicts=verdicts)) == [
         "degree_verdicts: ensemble seed=3 eps=0.012 2T: inconclusive -> lognormal"
     ]
+
+
+def test_differing_export_fails():
+    exports = _exports("ensemble seed=0 eps=0.1 r=2 2T: graphml differs")
+    assert edge_gate.failures(_report(exports=exports)) == [
+        "ensemble_exports: ensemble seed=0 eps=0.1 r=2 2T: graphml differs"
+    ]
+
+
+class _DotChanged:
+    """dtcnet with one extra byte at the end of every DOT document."""
+
+    def __getattr__(self, name):
+        return getattr(dtcnet, name)
+
+    def export_graph(self, g, format):
+        return dtcnet.export_graph(g, format) + (b" " if format == "dot" else b"")
+
+
+def _spectra(eps: float) -> tuple:
+    params = dtcnet.SpinChainParams(n=3, epsilon=eps)
+    spectrum = dtcnet.floquet_spectrum(dtcnet.drive_unitary(params, dtcnet.sample_disorder(params, 0, 0)))
+    return spectrum, dtcnet.effective_hamiltonian(spectrum)
+
+
+def test_exports_compared_byte_for_byte():
+    gate = edge_gate.Gate()
+    for label, pkg in (("same", dtcnet), ("dot", _DotChanged())):
+        graphs = gate.compare(label, pkg, dtcnet, (_spectra(0.1), _spectra(0.1)))
+        gate.compare_exports(label, pkg, dtcnet, *graphs)
+    assert gate.exports == {
+        "documents": 8, "identical": 7, "skipped_flipped": 0, "differing": ["dot: dot differs"]
+    }
+
+
+def test_flipped_graph_exports_skipped():
+    gate = edge_gate.Gate()
+    # epsilon 0 pairs every configuration with its mirror; 0.5 couples far more pairs
+    graphs = gate.compare("flipped", dtcnet, dtcnet, (_spectra(0.5), _spectra(0.0)))
+    gate.compare_exports("flipped", dtcnet, dtcnet, *graphs)
+    assert gate.flips
+    assert gate.exports == {"documents": 0, "identical": 0, "skipped_flipped": 1, "differing": []}
 
 
 def test_every_reason_is_listed():

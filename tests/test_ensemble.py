@@ -56,11 +56,21 @@ class TestEnsembleSpec:
             {"periods": 5.5},
             {"epsilons": ("0.1",)},
             {"tasks": frozenset({"bogus", 5})},
+            {"tasks": frozenset()},
+            {"seed": -1},
+            # a walk horizon whose (horizon + 1) x 2^n table exceeds 4^MAX_SITES
+            {"tasks": frozenset({"walk"}), "epsilons": (0.1, 1e-7)},
         ],
     )
     def test_invalid_rejected(self, overrides):
         with pytest.raises(ValueError):
             _spec(**overrides)
+
+    def test_walk_at_the_smallest_swept_error_accepted(self):
+        # epsilon = 0.005 walks 127 periods: 128 x 4096 entries at n = MAX_SITES
+        params = SpinChainParams(n=dtcnet.MAX_SITES)
+        spec = _spec(params=params, epsilons=(0.0, 0.005), tasks=frozenset({"walk"}))
+        assert spec.epsilons == (0.0, 0.005)
 
     def test_json_round_trip(self):
         spec = _spec(epsilons=(0.0, 0.05), tasks=frozenset({"graph", "walk"}))

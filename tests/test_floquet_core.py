@@ -870,6 +870,14 @@ class TestStroboscopicEvolve:
         with pytest.raises(ValueError):
             stroboscopic_evolve(_identity_floquet(4), Configuration(index=1, n=2), -1)
 
+    @pytest.mark.parametrize(
+        "state, message",
+        [(np.ones(3), "state has length 3, expected 4"), ([1.0, np.nan, 0.0, 0.0], "non-finite")],
+    )
+    def test_invalid_state_vector_rejected(self, state, message):
+        with pytest.raises(ValueError, match=message):
+            stroboscopic_evolve(_identity_floquet(4), state, 1)
+
     @pytest.mark.parametrize("evolve", [stroboscopic_evolve, magnetization_series, walk_populations])
     @pytest.mark.parametrize("n", [3, 5])
     def test_configuration_of_another_chain_length_rejected(self, evolve, n):

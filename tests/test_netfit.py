@@ -250,6 +250,11 @@ class TestLognormalLrTest:
         assert result.favored == "inconclusive"
         assert result.normalized_R == 0.0
 
+    def test_short_tail_rejected(self):
+        fit = PowerLawFit(beta=2.5, k_min=1, ks=0.0, n_tail=5)
+        with pytest.raises(ValueError, match="insufficient tail: 5 samples >= 1, need 10"):
+            lognormal_lr_test(np.arange(1, 6), fit)
+
     def test_shuffle_invariance(self):
         check_lr_shuffle_invariance()
 

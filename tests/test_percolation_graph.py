@@ -147,6 +147,17 @@ class TestPercolationRule:
         assert len(g.edges) == 128
         assert g.edges == {(i, 255 - i) for i in range(128)}
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.eye(3, dtype=complex), "dimension 3 is not a power of two"),
+            (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), "not Hermitian"),
+        ],
+    )
+    def test_invalid_hamiltonian_rejected(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            percolation_graph(EffectiveHamiltonian(matrix=matrix, period=2.0))
+
     def test_no_self_loops_and_degree_sum(self):
         params = SpinChainParams(n=6, epsilon=0.05)
         H = effective_hamiltonian(
@@ -318,6 +329,55 @@ class TestExport:
         g = _graph_from([0.0, 1.0], {})
         with pytest.raises(ValueError):
             export_graph(g, "gexf")
+
+    def test_documents_pinned(self):
+        g = _graph_from([0.0, 0.1, 0.7, 0.2], {(0, 1): 1.0, (1, 2): 2.0})
+        assert export_graph(g, "dot").decode() == (
+            "graph configuration_space {\n"
+            '  0 [label="00" domain_walls=0 degree=1];\n'
+            '  1 [label="01" domain_walls=1 degree=2];\n'
+            '  2 [label="10" domain_walls=1 degree=1];\n'
+            '  3 [label="11" domain_walls=0 degree=0];\n'
+            "  0 -- 1;\n"
+            "  1 -- 2;\n"
+            "}\n"
+        )
+        assert export_graph(g, "graphml").decode() == (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+            '  <key id="label" for="node" attr.name="label" attr.type="string"/>\n'
+            '  <key id="domain_walls" for="node" attr.name="domain_walls" attr.type="int"/>\n'
+            '  <key id="degree" for="node" attr.name="degree" attr.type="int"/>\n'
+            '  <graph id="configuration_space" edgedefault="undirected">\n'
+            '    <node id="n0">\n'
+            '      <data key="label">00</data>\n'
+            '      <data key="domain_walls">0</data>\n'
+            '      <data key="degree">1</data>\n'
+            "    </node>\n"
+            '    <node id="n1">\n'
+            '      <data key="label">01</data>\n'
+            '      <data key="domain_walls">1</data>\n'
+            '      <data key="degree">2</data>\n'
+            "    </node>\n"
+            '    <node id="n2">\n'
+            '      <data key="label">10</data>\n'
+            '      <data key="domain_walls">1</data>\n'
+            '      <data key="degree">1</data>\n'
+            "    </node>\n"
+            '    <node id="n3">\n'
+            '      <data key="label">11</data>\n'
+            '      <data key="domain_walls">0</data>\n'
+            '      <data key="degree">0</data>\n'
+            "    </node>\n"
+            '    <edge source="n0" target="n1"/>\n'
+            '    <edge source="n1" target="n2"/>\n'
+            "  </graph>\n"
+            "</graphml>\n"
+        )
+        assert export_graph(g, "edge-csv").decode() == "src,dst\n0,1\n1,2\n"
+        assert export_nodes_csv(g).decode() == (
+            "id,label,domain_walls,degree\n0,00,0,1\n1,01,1,2\n2,10,1,1\n3,11,0,0\n"
+        )
 
     def test_graphml_well_formed(self):
         import xml.etree.ElementTree as ET

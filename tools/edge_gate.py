@@ -4,7 +4,7 @@
 
 Run from the root of a checkout; its ./src/dtcnet is compared with the
 baseline checkout's src/dtcnet, imported side by side in one process
-(the baseline as the package dtcnet_baseline). Five checks:
+(the baseline as the package dtcnet_baseline). Six checks:
 
 - the 600 spectra of the test suite's sweep_n8 fixture (n = 8, six
   epsilons, 100 realizations, seed 1234): the T graphs;
@@ -13,6 +13,9 @@ baseline checkout's src/dtcnet, imported side by side in one process
 - the benchmark's ensemble_n8 config (n = 8, epsilons 0, 0.012, 0.1,
   three realizations) at seeds 0-5: the T and 2T graphs as the ensemble
   graph task builds them;
+- the export documents of those ensemble graphs: export_graph in each
+  of EXPORTS and export_nodes_csv, each side rendering its own graph,
+  compared byte for byte; a graph with a flip is skipped and counted;
 - `dtcnet ensemble` on that config at seeds 0-2: every CSV it writes,
   compared byte for byte;
 - the degree-distribution verdicts: ensemble.degree_fit, each side on
@@ -26,9 +29,9 @@ The report also gives max |H - H_baseline|, the largest residual and
 Gram defect the checked spectra report, and their Schur fallbacks.
 
 The gate exits 1 when a flip's |margin| reaches FLIP_MARGIN, when an
-ensemble CSV differs, when the two runs write different file lists, or
-when a degree fit's verdict (or its skip message) differs; otherwise it
-exits 0.
+export document or an ensemble CSV differs, when the two runs write
+different file lists, or when a degree fit's verdict (or its skip
+message) differs; otherwise it exits 0.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ CSV_SEEDS = range(3)
 # A flip whose baseline margin is below this in magnitude is roundoff:
 # the strict rule |K_ij| > |E_i - E_j| decided a tie either way.
 FLIP_MARGIN = 1e-11
+# the export_graph formats; "nodes" is export_nodes_csv
+EXPORTS = ("dot", "graphml", "edge-csv", "nodes")
 
 
 def load(src: Path, name: str):
@@ -78,8 +83,10 @@ class Gate:
         self.max_dH = self.residual = self.gram_defect = 0.0
         self.fallbacks = 0
         self.pools: dict[str, tuple[list, list]] = {}  # sample -> degrees of each side's graphs
+        self.exports = {"documents": 0, "identical": 0, "skipped_flipped": 0, "differing": []}
 
-    def compare(self, label: str, pkg, base, spectra, pool: str | None = None) -> None:
+    def compare(self, label: str, pkg, base, spectra, pool: str | None = None) -> tuple:
+        """Compare the graphs of one pair of spectra; returns (graph, baseline graph)."""
         (spectrum, H), (base_spectrum, base_H) = spectra
         self.residual = max(self.residual, spectrum.residual)
         self.gram_defect = max(self.gram_defect, spectrum.gram_defect)
@@ -99,6 +106,19 @@ class Gate:
             self.flips.append(
                 {"graph": label, "pair": [i, j], "added": (i, j) in edges, "baseline_margin": float(margin)}
             )
+        return graph, base_graph
+
+    def compare_exports(self, label: str, pkg, base, graph, base_graph) -> None:
+        """Each EXPORTS document, rendered by each side from its own graph; a graph with a flip is skipped."""
+        if graph.edges != base_graph.edges:
+            self.exports["skipped_flipped"] += 1
+            return
+        for doc in EXPORTS:
+            self.exports["documents"] += 1
+            if render(pkg, graph, doc) == render(base, base_graph, doc):
+                self.exports["identical"] += 1
+            else:
+                self.exports["differing"].append(f"{label}: {doc} differs")
 
     def report(self) -> dict:
         return {
@@ -112,6 +132,11 @@ class Gate:
             "max_gram_defect": self.gram_defect,
             "schur_fallbacks": self.fallbacks,
         }
+
+
+def render(pkg, graph, doc: str) -> bytes:
+    """The EXPORTS document doc of graph, as pkg renders it."""
+    return pkg.export_nodes_csv(graph) if doc == "nodes" else pkg.export_graph(graph, doc)
 
 
 def sweep_gate(pkg, base, squared: bool = False) -> Gate:
@@ -144,8 +169,10 @@ def ensemble_gate(pkg, base) -> Gate:
                     T.append((spectrum, p.effective_hamiltonian(spectrum)))
                     T2.append((doubled, p.effective_hamiltonian(doubled)))
                 sample = f"ensemble seed={seed} eps={eps:g}"
-                gate.compare(f"{sample} r={r} T", pkg, base, T, pool=f"{sample} T")
-                gate.compare(f"{sample} r={r} 2T", pkg, base, T2, pool=f"{sample} 2T")
+                for period, spectra in (("T", T), ("2T", T2)):
+                    label = f"{sample} r={r} {period}"
+                    graphs = gate.compare(label, pkg, base, spectra, pool=f"{sample} {period}")
+                    gate.compare_exports(label, pkg, base, *graphs)
     return gate
 
 
@@ -225,6 +252,7 @@ def main(argv=None) -> int:
         "sweep_n8_fixture": fixture.report(),
         "sweep_n8_fresh_u2": sweep_gate(pkg, base, squared=True).report(),
         "ensemble_graphs": ensemble.report(),
+        "ensemble_exports": ensemble.exports,
         "ensemble_csvs": csv_gate(pkg, base),
         "degree_verdicts": degree_gate(pkg, base, {**fixture.pools, **ensemble.pools}),
     }
