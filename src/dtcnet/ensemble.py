@@ -94,14 +94,29 @@ class EnsembleSpec:
             raise ValueError("periods must be >= 2")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        # the walk's (horizon + 1) x 2^n population table is held to the dense-matrix limit
+        # each table stays within the dense-matrix limit 4^MAX_SITES, and the basis propagation
+        # behind them within 2 x DEFAULT_PERIODS steps of 4^n at n = MAX_SITES (run_ensemble's
+        # check_size refuses a larger chain whole)
+        n = self.params.n
+        steps = self.periods if "spectrum" in self.tasks else 0
+        if steps and max((steps + 1) * 2**n, steps**2) > 4**MAX_SITES:
+            raise ValueError(
+                f"periods = {steps}: the (periods + 1) x 2^{n} magnetization table or the "
+                f"periods x periods DFT exceeds the dense-matrix limit 4^{MAX_SITES}"
+            )
         for e in (e for e in self.epsilons if e > 0 and "walk" in self.tasks):
             horizon = walk_horizon_periods(replace(self.params, epsilon=e))
-            if (horizon + 1) * 2**self.params.n > 4**MAX_SITES:
+            if (horizon + 1) * 2**n > 4**MAX_SITES:
                 raise ValueError(
                     f"the walk at epsilon = {e:g} runs {horizon:.4g} periods: its population table of "
-                    f"(horizon + 1) x 2^{self.params.n} entries exceeds the dense-matrix limit 4^{MAX_SITES}"
+                    f"(horizon + 1) x 2^{n} entries exceeds the dense-matrix limit 4^{MAX_SITES}"
                 )
+            steps = max(steps, horizon)
+        if n <= MAX_SITES and steps * 4**n > 2 * DEFAULT_PERIODS * 4**MAX_SITES:
+            raise ValueError(
+                f"the basis propagation of {steps:.4g} periods x 4^{n} entries exceeds "
+                f"{2 * DEFAULT_PERIODS} periods x the dense-matrix limit 4^{MAX_SITES}"
+            )
 
     @classmethod
     def from_json(cls, payload: dict) -> "EnsembleSpec":

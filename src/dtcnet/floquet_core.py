@@ -108,11 +108,11 @@ class FloquetSpectrum:
     the +-pi cut, where the fold direction is not numerically robust.
     schur_fallbacks counts the real solves (_symmetrized_eigensystem)
     that failed their Cholesky, residual or orthonormality gate and were
-    replaced by a complex Schur; a two_period_spectrum that reuses U's
-    eigenpairs has U's blocks and U's count. residual (max |B Z - Z mu|)
-    and gram_defect (max |Z^H Z - 1|) are the largest over the blocks,
-    from whichever solver produced each block's eigenpairs; a reusing
-    two_period_spectrum carries U's values too. The real solve reads
+    replaced by a complex Schur. residual (max |B Z - Z mu|) and
+    gram_defect (max |Z^H Z - 1|) are the largest over the blocks, from
+    whichever solver produced each block's eigenpairs. A
+    two_period_spectrum that reuses U's eigenpairs (U^2 one block)
+    carries U's three values. The real solve reads
     both on its real basis O in the symmetrized frame; the returned
     vectors S^H O match them up to the roundoff of the unitary S.
     """
@@ -318,17 +318,16 @@ def two_period_spectrum(op: FloquetOperator, spectrum: FloquetSpectrum) -> Floqu
     """Spectrum of U^2 (period 2T) from U's solved spectrum.
 
     U's eigenvectors diagonalize U^2 with eigenvalues mu^2, so they are
-    reused, and nothing is solved, when U and U^2 split into the same
-    support blocks. Where U^2 decouples further (at epsilon = 0 it is
-    diagonal while U has dimer blocks), U's vectors would mix blocks
-    that floquet_spectrum keeps exactly apart, and U^2 is solved on its
-    own blocks instead. spectrum must be floquet_spectrum(op).
+    reused, and nothing is solved, when the support of U^2 is one block:
+    U^2 then has no exact zeros to keep, and U, whose blocks U^2 can
+    only refine, is one block too. Otherwise (at epsilon = 0 U^2 is
+    diagonal while U has dimer blocks) U^2 is solved on its own blocks.
+    spectrum must be floquet_spectrum(op).
     """
     if spectrum.states.shape[0] != op.dim or spectrum.period != op.period:
         raise ValueError("spectrum does not belong to this propagator")
     squared = squared_floquet(op)
-    labels = _support_components(op.matrix)[1]
-    if not np.array_equal(labels, _support_components(squared.matrix)[1]):
+    if _support_components(squared.matrix)[0] != 1:
         return floquet_spectrum(squared)
     health = (spectrum.schur_fallbacks, spectrum.residual, spectrum.gram_defect)
     return _sorted_spectrum(spectrum.eigenvalues**2, spectrum.states, squared.period, *health)

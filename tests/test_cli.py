@@ -269,6 +269,30 @@ class TestSizeLimit:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a 100000 x 100000 DFT phase matrix
+            ["spectrum", "--n", "4", "--epsilon", "0.1", "--periods", "100000"],
+            # 3000 steps of the 1024 x 1024 basis
+            ["spectrum", "--n", "10", "--epsilon", "0.1", "--periods", "3000"],
+            # 3183 steps of the 4096 x 4096 basis
+            ["walk", "--n", "12", "--epsilon", "0.0002"],
+        ],
+    )
+    def test_propagation_beyond_the_limit_exits_1(self, argv, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a dense build was started")
+
+        for module in (dtcnet.cli, dtcnet.ensemble):
+            monkeypatch.setattr(module, "drive_unitary", forbidden)
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dense-matrix limit 4^12" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_limit_is_the_largest_allowed_size(self):
         dtcnet.ensemble.check_size(dtcnet.MAX_SITES)
         with pytest.raises(ValueError, match="dense-matrix limit"):

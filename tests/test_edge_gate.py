@@ -122,6 +122,31 @@ def test_flipped_graph_exports_skipped():
     assert gate.exports == {"documents": 0, "identical": 0, "skipped_flipped": 1, "differing": []}
 
 
+class _AlwaysFresh:
+    """dtcnet whose two_period_spectrum solves U^2 afresh at every epsilon."""
+
+    def __getattr__(self, name):
+        return getattr(dtcnet, name)
+
+    def two_period_spectrum(self, U, spectrum):
+        return dtcnet.floquet_core.floquet_spectrum(dtcnet.squared_floquet(U))
+
+
+def test_two_period_routes_counted_per_side(monkeypatch):
+    monkeypatch.setattr(edge_gate, "ENSEMBLE", {**edge_gate.ENSEMBLE, "params": {"n": 4}, "realizations": 1})
+    monkeypatch.setattr(edge_gate, "GRAPH_SEEDS", range(1))
+    same = edge_gate.ensemble_gate(dtcnet, dtcnet).report()
+    # epsilon = 0 solves U^2 on its diagonal blocks; 0.012 and 0.1 reuse U's eigenpairs
+    assert same["two_period_routes"] == {side: {"reused": 2, "fresh": 1} for side in ("change", "baseline")}
+    assert edge_gate.failures({"ensemble_graphs": same}) == []
+    changed = edge_gate.ensemble_gate(_AlwaysFresh(), dtcnet).report()
+    assert changed["two_period_routes"]["change"] == {"reused": 0, "fresh": 3}
+    assert edge_gate.failures({"ensemble_graphs": changed}) == [
+        "ensemble_graphs: ensemble seed=0 eps=0.012 r=0: 2T route reused -> fresh",
+        "ensemble_graphs: ensemble seed=0 eps=0.1 r=0: 2T route reused -> fresh",
+    ]
+
+
 def test_every_reason_is_listed():
     report = _report(graphs=_graphs(5e-10, 1e-16, -4e-8), csvs=_csvs(differing=("seed 0: a.csv differs",)))
     assert len(edge_gate.failures(report)) == 3

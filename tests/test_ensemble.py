@@ -60,6 +60,16 @@ class TestEnsembleSpec:
             {"seed": -1},
             # a walk horizon whose (horizon + 1) x 2^n table exceeds 4^MAX_SITES
             {"tasks": frozenset({"walk"}), "epsilons": (0.1, 1e-7)},
+            # a periods x periods DFT beyond 4^MAX_SITES entries
+            {"tasks": frozenset({"spectrum"}), "periods": 4097},
+            # a (periods + 1) x 2^n magnetization table beyond it
+            {"tasks": frozenset({"spectrum"}), "params": SpinChainParams(n=dtcnet.MAX_SITES),
+             "periods": 4096},
+            # a basis propagation beyond 128 periods of 4^MAX_SITES entries
+            {"tasks": frozenset({"spectrum"}), "params": SpinChainParams(n=dtcnet.MAX_SITES),
+             "periods": 129},
+            {"tasks": frozenset({"walk"}), "params": SpinChainParams(n=dtcnet.MAX_SITES),
+             "epsilons": (0.0002,)},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -71,6 +81,17 @@ class TestEnsembleSpec:
         params = SpinChainParams(n=dtcnet.MAX_SITES)
         spec = _spec(params=params, epsilons=(0.0, 0.005), tasks=frozenset({"walk"}))
         assert spec.epsilons == (0.0, 0.005)
+
+    def test_spectrum_at_the_largest_size_accepted(self):
+        # 64 periods propagate 64 x 4^12 entries; 2 x 64 is the limit
+        params = SpinChainParams(n=dtcnet.MAX_SITES)
+        for periods in (64, 128):
+            assert _spec(params=params, tasks=frozenset({"spectrum"}), periods=periods).periods == periods
+
+    def test_unused_periods_not_bounded(self):
+        # without the spectrum task nothing is propagated for periods
+        spec = _spec(params=SpinChainParams(n=dtcnet.MAX_SITES), periods=10**6)
+        assert spec.periods == 10**6
 
     def test_json_round_trip(self):
         spec = _spec(epsilons=(0.0, 0.05), tasks=frozenset({"graph", "walk"}))

@@ -696,8 +696,8 @@ class TestTwoPeriodSpectrum:
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_zero_error_takes_the_fresh_solve(self, n):
-        # U has dimer blocks and U^2 is diagonal: the partitions differ,
-        # so U^2 is solved on its own 1x1 blocks, bit for bit as before
+        # U has dimer blocks and U^2 is diagonal, not one block, so U^2
+        # is solved on its own 1x1 blocks, bit for bit as before
         params = SpinChainParams(n=n, epsilon=0.0)
         op = drive_unitary(params, sample_disorder(params, 5, 0))
         spectrum = two_period_spectrum(op, floquet_spectrum(op))
@@ -723,6 +723,22 @@ class TestTwoPeriodSpectrum:
         cross = np.arange(4)[:, None] % 2 != np.arange(4)[None, :] % 2
         assert np.count_nonzero(H.matrix[cross]) == 0
         assert all(i % 2 == j % 2 for i, j in percolation_graph(H).edges)
+
+    def test_two_blocks_kept_by_the_square_take_the_fresh_solve(self):
+        # U = Q1 (+) Q2 and U^2 split into the same two dense blocks; only
+        # a U^2 of one block reuses U's eigenpairs
+        rng = np.random.default_rng(4)
+        Q1, Q2 = (np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+                  for _ in range(2))
+        op = FloquetOperator(
+            matrix=scipy.linalg.block_diag(Q1, Q2), period=1.0, params_hash="test"
+        )
+        assert floquet_core._support_components(squared_floquet(op).matrix)[0] == 2
+        spectrum = two_period_spectrum(op, floquet_spectrum(op))
+        reference = _fresh_two_period(op)
+        assert np.array_equal(spectrum.quasienergies, reference.quasienergies)
+        assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
+        assert np.array_equal(spectrum.states, reference.states)
 
     def test_matching_blocks_reuse_the_eigenpairs(self, monkeypatch):
         params = SpinChainParams(n=6, epsilon=0.012)

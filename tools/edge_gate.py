@@ -12,7 +12,9 @@ baseline checkout's src/dtcnet, imported side by side in one process
   floquet_spectrum(squared_floquet(U)): the 2T graphs of that solve;
 - the benchmark's ensemble_n8 config (n = 8, epsilons 0, 0.012, 0.1,
   three realizations) at seeds 0-5: the T and 2T graphs as the ensemble
-  graph task builds them;
+  graph task builds them, and the route each side's two_period_spectrum
+  took: U's eigenpairs reused, or U^2 solved afresh (a call to that
+  package's floquet_spectrum inside it);
 - the export documents of those ensemble graphs: export_graph in each
   of EXPORTS and export_nodes_csv, each side rendering its own graph,
   compared byte for byte; a graph with a flip is skipped and counted;
@@ -28,10 +30,11 @@ its margin |K_ij| - |E_i - E_j| in the baseline's effective Hamiltonian.
 The report also gives max |H - H_baseline|, the largest residual and
 Gram defect the checked spectra report, and their Schur fallbacks.
 
-The gate exits 1 when a flip's |margin| reaches FLIP_MARGIN, when an
-export document or an ensemble CSV differs, when the two runs write
-different file lists, or when a degree fit's verdict (or its skip
-message) differs; otherwise it exits 0.
+The gate exits 1 when a flip's |margin| reaches FLIP_MARGIN, when the
+two sides take different 2T routes, when an export document or an
+ensemble CSV differs, when the two runs write different file lists, or
+when a degree fit's verdict (or its skip message) differs; otherwise it
+exits 0.
 """
 
 from __future__ import annotations
@@ -84,6 +87,8 @@ class Gate:
         self.fallbacks = 0
         self.pools: dict[str, tuple[list, list]] = {}  # sample -> degrees of each side's graphs
         self.exports = {"documents": 0, "identical": 0, "skipped_flipped": 0, "differing": []}
+        self.routes: dict[str, dict[str, int]] = {}  # side -> 2T route counts (ensemble graphs only)
+        self.differing: list[str] = []
 
     def compare(self, label: str, pkg, base, spectra, pool: str | None = None) -> tuple:
         """Compare the graphs of one pair of spectra; returns (graph, baseline graph)."""
@@ -131,6 +136,8 @@ class Gate:
             "max_residual": self.residual,
             "max_gram_defect": self.gram_defect,
             "schur_fallbacks": self.fallbacks,
+            **({"two_period_routes": self.routes} if self.routes else {}),
+            "differing": self.differing,
         }
 
 
@@ -155,20 +162,37 @@ def sweep_gate(pkg, base, squared: bool = False) -> Gate:
     return gate
 
 
+def two_period_route(pkg, U, spectrum) -> tuple:
+    """pkg's two_period_spectrum(U, spectrum) and its route: "fresh" if it called pkg's floquet_spectrum."""
+    core = pkg.floquet_core
+    solve, calls = core.floquet_spectrum, []
+    core.floquet_spectrum = lambda op: calls.append(op) or solve(op)
+    try:
+        doubled = pkg.two_period_spectrum(U, spectrum)
+    finally:
+        core.floquet_spectrum = solve
+    return doubled, "fresh" if calls else "reused"
+
+
 def ensemble_gate(pkg, base) -> Gate:
     gate = Gate()
+    gate.routes = {side: {"reused": 0, "fresh": 0} for side in ("change", "baseline")}
     for seed in GRAPH_SEEDS:
         for r in range(ENSEMBLE["realizations"]):
             for eps in ENSEMBLE["epsilons"]:
-                T, T2 = [], []
-                for p in (pkg, base):
+                T, T2, routes = [], [], []
+                for side, p in (("change", pkg), ("baseline", base)):
                     params = p.SpinChainParams(n=ENSEMBLE["params"]["n"], epsilon=eps)
                     U = p.drive_unitary(params, p.sample_disorder(params, seed, r))
                     spectrum = p.floquet_spectrum(U)
-                    doubled = p.two_period_spectrum(U, spectrum)
+                    doubled, route = two_period_route(p, U, spectrum)
+                    gate.routes[side][route] += 1
+                    routes.append(route)
                     T.append((spectrum, p.effective_hamiltonian(spectrum)))
                     T2.append((doubled, p.effective_hamiltonian(doubled)))
                 sample = f"ensemble seed={seed} eps={eps:g}"
+                if routes[0] != routes[1]:
+                    gate.differing.append(f"{sample} r={r}: 2T route {routes[1]} -> {routes[0]}")
                 for period, spectra in (("T", T), ("2T", T2)):
                     label = f"{sample} r={r} {period}"
                     graphs = gate.compare(label, pkg, base, spectra, pool=f"{sample} {period}")
