@@ -354,16 +354,14 @@ def _cmd_spectrum(args, config: dict) -> int:
 def _cmd_walk(args, config: dict) -> int:
     params = _params_from(args)
     (eps,) = _epsilons(args, single=True)
-    if eps <= 0:
-        raise CliError("walk requires epsilon > 0 (tunneling horizon diverges at 0)")
     params = replace(params, epsilon=eps)
+    horizon = walk_horizon_periods(params)  # refuses epsilon = 0
     spec = _spec(args, params, (eps,), "walk")
     out = _out_dir(args)
 
     tag = eps_tag(eps)
     (payload,) = _payloads(spec)
     write_walk_tables(out, f"eps{tag}", *payload["walk"][tag])
-    horizon = walk_horizon_periods(params)
     print(f"wrote walk-eps{tag}.csv and pr-eps{tag}.csv in {out} (horizon {horizon} periods)")
     return 0
 

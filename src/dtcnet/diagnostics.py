@@ -237,10 +237,10 @@ def participation_ratio(state) -> float:
 
 
 def walk_horizon_periods(params: SpinChainParams) -> int:
-    """Tunneling horizon tau = T/(g eps T1) rounded to whole periods, >= 1."""
+    """Tunneling horizon tau = T/(g eps T1) = 2/(pi eps) periods (g T1 = pi/2), rounded, >= 1."""
     if params.epsilon <= 0.0:
         raise ValueError("epsilon must be positive: the tunneling time diverges at 0")
-    tau_over_T = 1.0 / (params.g * params.epsilon * params.T1)
+    tau_over_T = 2.0 / (pi * params.epsilon)
     if tau_over_T == float("inf"):
         raise ValueError(f"epsilon = {params.epsilon:g} is too small: the tunneling horizon overflows")
     return max(1, int(round(tau_over_T)))

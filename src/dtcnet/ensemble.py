@@ -95,15 +95,13 @@ class EnsembleSpec:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         # each table stays within the dense-matrix limit 4^MAX_SITES, and the basis propagation
-        # behind them within 2 x DEFAULT_PERIODS steps of 4^n at n = MAX_SITES (run_ensemble's
-        # check_size refuses a larger chain whole)
+        # behind them within 2 x DEFAULT_PERIODS steps of 4^n at n = MAX_SITES
         n = self.params.n
+        if n > MAX_SITES:
+            return  # run_ensemble's check_size refuses the chain whole
         steps = self.periods if "spectrum" in self.tasks else 0
-        if steps and max((steps + 1) * 2**n, steps**2) > 4**MAX_SITES:
-            raise ValueError(
-                f"periods = {steps}: the (periods + 1) x 2^{n} magnetization table or the "
-                f"periods x periods DFT exceeds the dense-matrix limit 4^{MAX_SITES}"
-            )
+        if steps**2 > 4**MAX_SITES:
+            raise ValueError(f"the {steps} x {steps} DFT exceeds the dense-matrix limit 4^{MAX_SITES}")
         for e in (e for e in self.epsilons if e > 0 and "walk" in self.tasks):
             horizon = walk_horizon_periods(replace(self.params, epsilon=e))
             if (horizon + 1) * 2**n > 4**MAX_SITES:
@@ -112,7 +110,7 @@ class EnsembleSpec:
                     f"(horizon + 1) x 2^{n} entries exceeds the dense-matrix limit 4^{MAX_SITES}"
                 )
             steps = max(steps, horizon)
-        if n <= MAX_SITES and steps * 4**n > 2 * DEFAULT_PERIODS * 4**MAX_SITES:
+        if steps * 4**n > 2 * DEFAULT_PERIODS * 4**MAX_SITES:
             raise ValueError(
                 f"the basis propagation of {steps:.4g} periods x 4^{n} entries exceeds "
                 f"{2 * DEFAULT_PERIODS} periods x the dense-matrix limit 4^{MAX_SITES}"
@@ -193,9 +191,11 @@ def check_size(n: int) -> None:
     one-line message before anything is allocated.
     """
     if n > MAX_SITES:
+        # 4.0**n overflows a float from n = 512 on, where the estimate already exceeds 1e300 GB
+        gb = f"{9 * 16 / 1e9 * 4.0**n:.2g}" if n < 512 else "more than 1e300"
         raise ValueError(
             f"n = {n} exceeds the dense-matrix limit {MAX_SITES}: the spectrum needs about "
-            f"9 x 16 * 4^n bytes = {9 * 16 * 4.0**n / 1e9:.1f} GB"
+            f"9 x 16 * 4^n bytes = {gb} GB"
         )
 
 
@@ -217,7 +217,7 @@ def write_csv(path: Path, header: str, *columns) -> Path:
 
 def eps_tag(eps: float) -> str:
     """Epsilon as used in file names and payload keys: 0.012 -> '0p012'."""
-    return f"{eps:g}".replace(".", "p").replace("-", "m")
+    return f"{eps + 0.0:g}".replace(".", "p").replace("-", "m")  # -0.0 + 0.0 is 0.0: tag "0"
 
 
 def realization_outputs(spec: EnsembleSpec, r: int) -> dict:

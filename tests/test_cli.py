@@ -298,6 +298,34 @@ class TestSizeLimit:
         with pytest.raises(ValueError, match="dense-matrix limit"):
             dtcnet.ensemble.check_size(dtcnet.MAX_SITES + 1)
 
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            (["graph", "--n", "600", "--epsilon", "0.1"], 600),  # 4.0**600 overflows a float
+            (["ensemble"], 10**8),  # the spectrum and walk tasks of the config below
+        ],
+    )
+    def test_any_oversized_chain_refused_in_one_line(self, argv, n, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"params": {"n": n}, "epsilons": [0.1], "realizations": 1, "seed": 0, "tasks": ["spectrum", "walk"]}
+        ))
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: n = {n} exceeds the dense-matrix limit 12: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "n, estimate",
+        [(13, "9.7 GB"), (511, "6.5e+300 GB"), (512, "more than 1e300 GB"), (10**10, "more than 1e300 GB")],
+    )
+    def test_estimate_is_finite_for_any_size(self, n, estimate):
+        with pytest.raises(ValueError) as info:
+            dtcnet.ensemble.check_size(n)
+        assert str(info.value).endswith(f"9 x 16 * 4^n bytes = {estimate}")
+
 
 class TestIoFailures:
     """I/O problems exit 2."""
@@ -373,6 +401,11 @@ class TestGraphCommand:
         assert captured.err == "warning: 1 spectrum blocks at T solved by Schur fallback\n"
         written = "nodes-eps0p02.csv, edges-eps0p02.csv, clusters-eps0p02.csv"
         assert captured.out == f"wrote {written} in {tmp_path}\n"
+
+    def test_negative_zero_tagged_as_zero(self, tmp_path):
+        assert main(["graph", "--n", "4", "--epsilon", "-0", "--out-dir", str(tmp_path)]) == 0
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == ["clusters-eps0.csv", "edges-eps0.csv", "nodes-eps0.csv"]
 
 
 class TestSimulateCommand:
@@ -476,6 +509,13 @@ class TestLevelStatsCommand:
             "warning: eps=0.02 realization 0 T: 1 spectrum blocks solved by Schur fallback\n"
         )
 
+    def test_negative_zero_collides_with_zero(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["level-stats", "--n", "4", "--epsilon", "0,-0", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: epsilons [0.0, -0.0] share the output tag '0'; their files would collide\n"
+        assert not out.exists()
+
 
 class TestSpectrumCommand:
     def test_series_spectrum_and_fidelity_grid(self, tmp_path):
@@ -564,6 +604,26 @@ class TestWalkCommand:
         horizon = walk_horizon_periods(SpinChainParams(n=4, epsilon=0.1))
         _, body = _read_csv(tmp_path / "walk-eps0p1.csv")
         assert len(body) == (horizon + 1) * 16
+
+    def test_zero_error_refused_by_the_horizon(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["walk", "--n", "4", "--epsilon", "0", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: epsilon must be positive: the tunneling time diverges at 0\n"
+        assert not out.exists()
+
+    def test_horizon_beyond_the_limit_at_any_t1(self, tmp_path, capsys, monkeypatch):
+        # g eps T1 underflows to 0 here, while 2 / (pi eps) is 6.4e299 periods
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a dense build was started")
+
+        monkeypatch.setattr(dtcnet.ensemble, "drive_unitary", forbidden)
+        out = tmp_path / "out"
+        argv = ["walk", "--n", "4", "--epsilon", "1e-300", "--t1", "1e300", "--out-dir", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the walk at epsilon = 1e-300 runs 6.366e+299 periods: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestClassicalCommand:

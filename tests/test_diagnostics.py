@@ -226,6 +226,10 @@ class TestPowerSpectrum:
     def test_parseval(self):
         check_parseval()
 
+    def test_two_dimensional_series_rejected(self):
+        with pytest.raises(ValueError, match="series must be one-dimensional"):
+            power_spectrum(np.zeros((5, 3)))
+
 
 class TestSpectralFidelity:
     def test_identical_spectra(self):
@@ -299,6 +303,10 @@ class TestWalkPopulations:
         record = walk_populations(U, Configuration(index=2**n - 1, n=n), horizon)
         assert np.abs(record.populations - np.array(dense)).max() <= 5e-14
 
+    def test_negative_period_count_rejected(self):
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            walk_populations(_identity(4), Configuration(index=1, n=2), -1)
+
 
 class TestParticipationRatio:
     def test_basis_state(self):
@@ -353,3 +361,9 @@ class TestPrDistribution:
         params = SpinChainParams(n=4, epsilon=2.0)
         prs = pr_distribution(params, sample_disorder(params, 291, 0))
         assert prs.shape == (16,)
+
+    def test_horizon_is_two_over_pi_epsilon_at_any_t1(self):
+        # T1 cancels; the product g eps T1 would underflow to 0 at T1 = 1e300
+        for T1 in (1e-3, 1.0, 1e300):
+            params = SpinChainParams(n=4, epsilon=1e-300, T1=T1)
+            assert walk_horizon_periods(params) == round(2 / (np.pi * 1e-300))

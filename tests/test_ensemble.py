@@ -13,7 +13,9 @@ import pytest
 
 import dtcnet
 import dtcnet.ensemble
-from dtcnet import EnsembleSpec, SpinChainParams, pr_distribution, run_ensemble, sample_disorder
+from dtcnet import (
+    EnsembleSpec, SpinChainParams, pr_distribution, run_ensemble, sample_disorder, walk_horizon_periods,
+)
 from dtcnet.ensemble import eps_tag, realization_outputs
 from invariants import (
     check_manifest_artifacts_parse,
@@ -62,7 +64,7 @@ class TestEnsembleSpec:
             {"tasks": frozenset({"walk"}), "epsilons": (0.1, 1e-7)},
             # a periods x periods DFT beyond 4^MAX_SITES entries
             {"tasks": frozenset({"spectrum"}), "periods": 4097},
-            # a (periods + 1) x 2^n magnetization table beyond it
+            # 4096 periods at n = MAX_SITES: the basis propagation refuses them
             {"tasks": frozenset({"spectrum"}), "params": SpinChainParams(n=dtcnet.MAX_SITES),
              "periods": 4096},
             # a basis propagation beyond 128 periods of 4^MAX_SITES entries
@@ -92,6 +94,29 @@ class TestEnsembleSpec:
         # without the spectrum task nothing is propagated for periods
         spec = _spec(params=SpinChainParams(n=dtcnet.MAX_SITES), periods=10**6)
         assert spec.periods == 10**6
+
+    @pytest.mark.parametrize("n", range(2, dtcnet.MAX_SITES + 1))
+    def test_largest_accepted_runs(self, n):
+        # the limits README states, reached exactly: one more period or horizon step is refused
+        params = SpinChainParams(n=n)
+        periods = {10: 2048, 11: 512, 12: 128}.get(n, 4096)
+        assert _spec(params=params, tasks=frozenset({"spectrum"}), periods=periods).periods == periods
+        with pytest.raises(ValueError):
+            _spec(params=params, tasks=frozenset({"spectrum"}), periods=periods + 1)
+        horizon = min(2 ** (24 - n) - 1, 2 ** (31 - 2 * n))
+        for h in (horizon, horizon + 1):
+            eps = 2 / (np.pi * h)
+            assert walk_horizon_periods(replace(params, epsilon=eps)) == h
+            if h == horizon:
+                assert _spec(params=params, tasks=frozenset({"walk"}), epsilons=(eps,)).epsilons == (eps,)
+            else:
+                with pytest.raises(ValueError):
+                    _spec(params=params, tasks=frozenset({"walk"}), epsilons=(eps,))
+
+    def test_negative_zero_shares_the_zero_tag(self):
+        assert eps_tag(-0.0) == eps_tag(0.0) == "0"
+        with pytest.raises(ValueError, match=r"epsilons \[0.0, -0.0\] share the output tag '0'"):
+            _spec(epsilons=(0.0, -0.0))
 
     def test_json_round_trip(self):
         spec = _spec(epsilons=(0.0, 0.05), tasks=frozenset({"graph", "walk"}))

@@ -212,6 +212,11 @@ class TestFloquetSpectrum:
         clean = floquet_spectrum(_identity_floquet(2, period=1.0))
         assert clean.branch_warnings == ()
 
+    def test_non_square_operator_rejected(self):
+        op = FloquetOperator(matrix=np.zeros((4, 2), dtype=complex), period=2.0, params_hash="test")
+        with pytest.raises(ValueError, match="propagator must be square"):
+            floquet_spectrum(op)
+
 
 def _schur_reference(op: FloquetOperator) -> FloquetSpectrum:
     """The spectrum from one complex Schur decomposition per support block."""
@@ -644,6 +649,11 @@ class TestEffectiveHamiltonian:
     def test_conserved_quantities_at_zero_error(self):
         check_conserved_at_zero_error()
 
+    def test_coupling_of_a_node_to_itself_rejected(self):
+        H = effective_hamiltonian(floquet_spectrum(_identity_floquet(4)))
+        with pytest.raises(ValueError, match="coupling is defined for i != j"):
+            H.coupling(1, 1)
+
 
 class TestSquaredFloquet:
     def test_identity_squares_to_identity(self):
@@ -855,6 +865,12 @@ class TestBchEffective2T:
     def test_error_quadratic_in_epsilon(self):
         # measured reduction is ~2x (linear), outside the stated [2, 8]
         check_bch_quadratic_scaling()
+
+    def test_disorder_of_another_size_rejected(self):
+        params = SpinChainParams(n=4, epsilon=0.05)
+        disorder = sample_disorder(SpinChainParams(n=3), 151, 0)
+        with pytest.raises(ValueError, match="disorder has 3 fields, params.n = 4"):
+            bch_effective_2T(params, disorder)
 
 
 class TestStroboscopicEvolve:

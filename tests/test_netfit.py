@@ -6,6 +6,7 @@ import scipy.optimize
 
 from dtcnet import (
     EnsembleSpec,
+    LikelihoodRatioResult,
     PowerLawFit,
     SpinChainParams,
     avg_degree_by_domain_walls,
@@ -45,6 +46,25 @@ class TestDegreeInput:
         sample[0] = 7
         assert kmin_scan(nudged) == kmin_scan(sample)
         assert np.array_equal(log_binned_histogram(nudged).densities, log_binned_histogram(sample).densities)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="degrees must be >= 0"):
+            log_binned_histogram([1, 2, -3, 4])
+
+
+class TestFitRecords:
+    @pytest.mark.parametrize(
+        "beta, k_min, ks, message",
+        [(1.0, 2, 0.1, "beta must exceed 1"), (2.5, 0, 0.1, "k_min must be >= 1"),
+         (2.5, 2, 1.5, "ks must lie in")],
+    )
+    def test_power_law_fit_checked(self, beta, k_min, ks, message):
+        with pytest.raises(ValueError, match=message):
+            PowerLawFit(beta=beta, k_min=k_min, ks=ks, n_tail=50)
+
+    def test_unknown_verdict_rejected(self):
+        with pytest.raises(ValueError, match="unknown verdict 'exponential'"):
+            LikelihoodRatioResult(R=0.0, favored="exponential", normalized_R=0.0)
 
 
 class TestLogBinnedHistogram:
@@ -114,6 +134,11 @@ class TestPowerlawMle:
     def test_duplication_consistency(self):
         check_mle_duplication_consistency()
 
+    def test_k_min_below_one_rejected(self):
+        sample = sample_discrete_powerlaw(2.5, 3, 500, np.random.default_rng(2))
+        with pytest.raises(ValueError, match="k_min must be >= 1, got 0"):
+            powerlaw_mle(sample, 0)
+
 
 class TestKsDistance:
     def test_large_model_sample_fits_tightly(self):
@@ -140,6 +165,11 @@ class TestKsDistance:
 
     def test_shrinks_with_sample_size(self):
         check_ks_sample_size_decreasing()
+
+    def test_k_min_above_every_sample_rejected(self):
+        fit = PowerLawFit(beta=2.5, k_min=10, ks=0.1, n_tail=50)
+        with pytest.raises(ValueError, match="no samples >= k_min = 10"):
+            ks_distance([1, 2, 3, 9], fit)
 
 
 class TestKminScan:

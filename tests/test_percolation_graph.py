@@ -183,6 +183,12 @@ class TestPercolationRule:
     def test_dimers_across_sizes(self):
         check_zero_error_dimers()
 
+    def test_margin_of_an_inactive_pair_rejected(self):
+        g = _graph_from([0.0, 0.5, 9.0, -9.0], {(0, 1): 1.0})
+        assert g.margin(1, 0) == pytest.approx(0.5)
+        with pytest.raises(KeyError):
+            g.margin(3, 2)
+
 
 class TestClusters:
     def test_dimer_graph_gives_128_pairs(self):

@@ -38,6 +38,11 @@ class TestClassicalConfiguration:
         with pytest.raises(ValueError):
             ClassicalConfiguration(thetas=np.array([0.0, np.pi + 0.1]))
 
+    @pytest.mark.parametrize("thetas", [[0.0], [], [[0.0, np.pi]]])
+    def test_fewer_than_two_angles_rejected(self, thetas):
+        with pytest.raises(ValueError, match="need a vector of at least 2 angles"):
+            ClassicalConfiguration(thetas=np.array(thetas))
+
 
 class TestClassicalEnergy:
     def test_aligned_pair(self):
@@ -71,6 +76,11 @@ class TestClassicalEnergy:
 
     def test_corner_gradients_vanish(self):
         check_corner_gradients_vanish()
+
+    def test_configuration_of_another_size_rejected(self):
+        config = ClassicalConfiguration(thetas=np.zeros(3))
+        with pytest.raises(ValueError, match="configuration has 3 angles, params.n = 4"):
+            classical_energy(config, SpinChainParams(n=4))
 
 
 class TestJacobian:
@@ -115,6 +125,11 @@ class TestJacobian:
     def test_matches_fd_hessian(self):
         check_jacobian_matches_fd_hessian()
 
+    def test_configuration_of_another_size_rejected(self):
+        config = ClassicalConfiguration(thetas=np.zeros(3))
+        with pytest.raises(ValueError, match="configuration has 3 angles, params.n = 4"):
+            jacobian(config, SpinChainParams(n=4))
+
 
 class TestClassifyFixedPoint:
     def test_all_negative_stable(self):
@@ -154,3 +169,8 @@ class TestClassifyFixedPoint:
         report = classify_fixed_point(np.array([[2.0, 0.5], [0.5, -1.0]]))
         assert report.eigenvalues.dtype.kind == "f"
         assert np.all(np.diff(report.eigenvalues) >= 0.0)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_non_square_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="jacobian must be a square matrix"):
+            classify_fixed_point(np.zeros(shape))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dtcnet import (
     Configuration,
+    DenseOperator,
     DisorderRealization,
     SpinChainParams,
     build_drive,
@@ -117,6 +118,10 @@ class TestConfiguration:
             cfg = Configuration(index=i, n=4)
             assert parity_partner(parity_partner(cfg)).index == i
 
+    def test_empty_chain_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            Configuration(index=0, n=0)
+
 
 class TestPauliString:
     def test_sigma_z_on_up_state(self):
@@ -194,6 +199,10 @@ class TestDisorder:
         disorder = DisorderRealization(fields=np.zeros(3), seed=0, realization_index=0)
         assert disorder.n == 3
 
+    def test_negative_realization_index_rejected(self):
+        with pytest.raises(ValueError, match="seed and realization_index must be >= 0"):
+            sample_disorder(SpinChainParams(n=4), 0, -1)
+
 
 class TestBuildDrive:
     def test_ising_diagonal_example(self):
@@ -263,3 +272,13 @@ class TestOperatorInvariants:
         parity = parity_operator(n).matrix
         direct = pauli_string([(l, "x") for l in range(1, n + 1)], n).matrix
         assert np.allclose(parity, direct, atol=1e-12)
+
+    def test_dense_operator_shape_checked(self):
+        with pytest.raises(ValueError, match=r"matrix shape \(2, 2\) != \(4, 4\)"):
+            DenseOperator(matrix=np.eye(2, dtype=complex), n=2)
+
+    def test_dense_operator_hermitian_flag_checked(self):
+        raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        assert DenseOperator(matrix=raising, n=1).n == 1
+        with pytest.raises(ValueError, match="hermitian_flag set but defect"):
+            DenseOperator(matrix=raising, n=1, hermitian_flag=True)

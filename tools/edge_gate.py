@@ -146,20 +146,21 @@ def render(pkg, graph, doc: str) -> bytes:
     return pkg.export_nodes_csv(graph) if doc == "nodes" else pkg.export_graph(graph, doc)
 
 
-def sweep_gate(pkg, base, squared: bool = False) -> Gate:
-    """The fixture's T graphs, or with squared the 2T graphs of a fresh solve of U^2."""
-    gate = Gate()
+def sweep_gates(pkg, base) -> tuple[Gate, Gate]:
+    """The fixture's T graphs and the 2T graphs of a fresh solve of U^2, from one U per side."""
+    fixture, fresh = Gate(), Gate()
     for r in range(SWEEP["realizations"]):
         for eps in SWEEP["epsilons"]:
-            spectra = []
+            T, T2 = [], []
             for p in (pkg, base):
                 params = p.SpinChainParams(n=SWEEP["n"], epsilon=eps)
                 U = p.drive_unitary(params, p.sample_disorder(params, SWEEP["seed"], r))
-                spectrum = p.floquet_spectrum(p.squared_floquet(U) if squared else U)
-                spectra.append((spectrum, p.effective_hamiltonian(spectrum)))
-            label = f"sweep{' U^2' if squared else ''} eps={eps:g}"
-            gate.compare(f"{label} r={r}", pkg, base, spectra, pool=None if squared else f"{label} T")
-    return gate
+                for spectra, op in ((T, U), (T2, p.squared_floquet(U))):
+                    spectrum = p.floquet_spectrum(op)
+                    spectra.append((spectrum, p.effective_hamiltonian(spectrum)))
+            fixture.compare(f"sweep eps={eps:g} r={r}", pkg, base, T, pool=f"sweep eps={eps:g} T")
+            fresh.compare(f"sweep U^2 eps={eps:g} r={r}", pkg, base, T2)
+    return fixture, fresh
 
 
 def two_period_route(pkg, U, spectrum) -> tuple:
@@ -271,10 +272,10 @@ def main(argv=None) -> int:
     base = load(args.baseline.resolve() / "src", "dtcnet_baseline")
     importlib.import_module("dtcnet.cli")
     importlib.import_module("dtcnet_baseline.cli")
-    fixture, ensemble = sweep_gate(pkg, base), ensemble_gate(pkg, base)
+    (fixture, fresh), ensemble = sweep_gates(pkg, base), ensemble_gate(pkg, base)
     report = {
         "sweep_n8_fixture": fixture.report(),
-        "sweep_n8_fresh_u2": sweep_gate(pkg, base, squared=True).report(),
+        "sweep_n8_fresh_u2": fresh.report(),
         "ensemble_graphs": ensemble.report(),
         "ensemble_exports": ensemble.exports,
         "ensemble_csvs": csv_gate(pkg, base),
