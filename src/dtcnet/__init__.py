@@ -87,14 +87,3 @@ from .spin_hilbert import (
     sample_disorder,
     spin_z_table,
 )
-
-
-def __getattr__(name: str):
-    # CliInvocation is read from .cli on first access: importing .cli
-    # here would load it before `python -m dtcnet.cli` runs it as
-    # __main__, which runpy reports with a RuntimeWarning
-    if name == "CliInvocation":
-        from .cli import CliInvocation
-
-        return CliInvocation
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,10 +15,9 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Any, Mapping
 
 import numpy as np
 
@@ -49,31 +48,11 @@ from .netfit import poisson_fit
 from .percolation_graph import clusters, export_graph, export_nodes_csv, percolation_graph
 from .spin_hilbert import SpinChainParams, check_setting, sample_disorder
 
-__all__ = ["CliInvocation", "main"]
+__all__ = ["main"]
 
 
 class CliError(Exception):
     """Validation failure; rendered as one line on stderr, exit 1."""
-
-
-@dataclass(frozen=True)
-class CliInvocation:
-    """One parsed invocation: subcommand, flag values, optional config path.
-
-    flags holds each declared flag's resolved value or None (for
-    ensemble, each flag but out_dir only as given on the command line).
-    """
-
-    subcommand: str
-    flags: Mapping[str, Any] = field(default_factory=dict)
-    config_path: str | None = None
-
-    def __getattr__(self, name: str) -> Any:
-        # handlers read flags attribute-style, mirroring argparse
-        try:
-            return self.flags[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,19 +107,17 @@ def _load_config(path: str | None) -> dict:
     return payload
 
 
-def _resolve_flags(subcommand: str, given: dict, config: dict) -> dict:
-    """Each declared flag's value: the flag, else the config key, else _DEFAULTS, else None.
+def _resolve_flags(args: argparse.Namespace, config: dict) -> None:
+    """Fill each flag left unset in args: the config key, else _DEFAULTS, else None.
 
     An ensemble config is an EnsembleSpec that only the flags given
     override, so there the output directory alone resolves this way.
     """
-    flags = dict(given)
-    for key in ("out_dir",) if subcommand == "ensemble" else given:
-        if flags[key] is None:
-            flags[key] = config.get(key, _DEFAULTS.get(key))
-    if not isinstance(flags["out_dir"], str):
-        raise CliError(f"out_dir must be a string, got {flags['out_dir']!r}")
-    return flags
+    for key in ("out_dir",) if args.command == "ensemble" else vars(args):
+        if key not in ("command", "config") and getattr(args, key) is None:
+            setattr(args, key, config.get(key, _DEFAULTS.get(key)))
+    if not isinstance(args.out_dir, str):
+        raise CliError(f"out_dir must be a string, got {args.out_dir!r}")
 
 
 def _epsilons(args, single: bool = False) -> tuple[float, ...]:
@@ -383,7 +360,7 @@ def _cmd_ensemble(args, config: dict) -> int:
     payload = {**config, "params": {**params, **_chain_given(args)}}
     if args.epsilon is not None:
         payload["epsilons"] = list(_epsilons(args))
-    given = {key: args.flags[key] for key in ("seed", "realizations", "periods")}
+    given = {key: getattr(args, key) for key in ("seed", "realizations", "periods")}
     payload.update({key: value for key, value in given.items() if value is not None})
 
     try:
@@ -424,10 +401,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             raise CliError("a subcommand is required; see --help")
         config = _load_config(args.config)
-        given = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-        flags = _resolve_flags(args.command, given, config)
-        handler = _SUBCOMMANDS[args.command][0]
-        return handler(CliInvocation(args.command, flags, args.config), config)
+        _resolve_flags(args, config)
+        return _SUBCOMMANDS[args.command][0](args, config)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, OSError) else 1

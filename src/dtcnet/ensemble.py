@@ -237,8 +237,9 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     - "walk" (epsilon > 0 only): (participation ratio per configuration,
       walk populations from the all-up configuration).
 
-    Each epsilon builds its propagator once and, when the spectrum or
-    walk task is on, propagates the whole basis once (basis_dynamics).
+    Each epsilon builds its propagator once, and only when a requested
+    task reads it; when the spectrum or walk task is on, it propagates
+    the whole basis once (basis_dynamics).
     The epsilon = 0 reference is the sweep's own entry; it is built
     separately only when 0 is not swept. run_ensemble and the
     level-stats, spectrum and walk subcommands all reduce these payloads.
@@ -262,7 +263,10 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     for eps in spec.epsilons:
         params = replace(spec.params, epsilon=eps)
         key = eps_tag(eps)
-        U = drive_unitary(params, disorder)
+        horizon = walk_horizon_periods(params) if "walk" in spec.tasks and eps > 0.0 else None
+        periods = spec.periods if "spectrum" in spec.tasks else 0
+        if horizon or periods or "graph" in spec.tasks or "levelstats" in spec.tasks:  # a stage reads U
+            U = drive_unitary(params, disorder)
 
         if "graph" in spec.tasks or "levelstats" in spec.tasks:
             spectrum = floquet_spectrum(U)
@@ -282,8 +286,6 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
         if "walk" in spec.tasks and eps <= 0.0:
             skipped = "walk task skipped: tunneling horizon diverges at epsilon = 0"
             payload["warnings"].append({"epsilon": eps, "realization": r, "warnings": [skipped]})
-        horizon = walk_horizon_periods(params) if "walk" in spec.tasks and eps > 0.0 else None
-        periods = spec.periods if "spectrum" in spec.tasks else 0
         if periods or horizon:
             magnetization, prs = basis_dynamics(U, periods, horizon)
             if periods:

@@ -24,7 +24,7 @@ from scipy.linalg import expm
 
 import dtcnet
 import dtcnet.ensemble
-from dtcnet import CliInvocation
+from dtcnet import cli
 from dtcnet.cli import main
 from dtcnet.diagnostics import magnetization_series, reference_pdf, walk_horizon_periods
 from dtcnet.semiclassical import ClassicalConfiguration, classical_energy
@@ -46,27 +46,6 @@ def _column(header, body, name):
 _ENSEMBLE_CONFIG = {"params": {"n": 3}, "epsilons": [0.1], "realizations": 1, "seed": 0, "tasks": ["graph"]}
 
 
-class TestCliInvocation:
-    def test_flags_read_attribute_style(self):
-        inv = CliInvocation(subcommand="graph", flags={"n": 4, "seed": None})
-        assert inv.subcommand == "graph"
-        assert inv.n == 4
-        assert inv.seed is None
-        assert inv.config_path is None
-
-    def test_missing_flag_raises_attribute_error(self):
-        inv = CliInvocation(subcommand="graph", flags={"n": 4})
-        with pytest.raises(AttributeError):
-            inv.no_such_flag
-        # getattr fallback is what the resolver relies on
-        assert getattr(inv, "no_such_flag", "fallback") == "fallback"
-
-    def test_frozen(self):
-        inv = CliInvocation(subcommand="walk", flags={})
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            inv.subcommand = "graph"
-
-
 class TestDispatch:
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["no-such-command"]) == 1
@@ -81,6 +60,51 @@ class TestDispatch:
     def test_missing_subcommand_exits_1(self, capsys):
         assert main([]) == 1
         assert "subcommand" in capsys.readouterr().err
+
+
+# each flag's command-line token and the value the parser gives it
+_GIVEN = {
+    "n": ("5", 5), "epsilon": ("0.3", "0.3"), "t1": ("1.5", 1.5), "t2": ("2.5", 2.5), "j0": ("0.5", 0.5),
+    "alpha": ("3.5", 3.5), "disorder-w": ("0.25", 0.25), "seed": ("7", 7), "realizations": ("3", 3),
+    "periods": ("9", 9), "out-dir": ("given-dir", "given-dir"), "format": ("dot", "dot"),
+}
+
+
+class TestSettingResolution:
+    """What each handler reads: the flag, else the config key, else _DEFAULTS, else None.
+
+    An ensemble config is an EnsembleSpec that only the flags given
+    override, so there only out_dir falls back to the config or default.
+    """
+
+    @pytest.mark.parametrize(
+        "subcommand, flag", [(name, flag) for name, (_, _, flags) in cli._SUBCOMMANDS.items() for flag in flags]
+    )
+    def test_flag_then_config_then_default(self, subcommand, flag, tmp_path, monkeypatch):
+        _, description, flags = cli._SUBCOMMANDS[subcommand]
+        read = []
+
+        def record(args, config):
+            read.append({f: getattr(args, f.replace("-", "_")) for f in flags})
+            return 0
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, subcommand, (record, description, flags))
+        key = flag.replace("-", "_")
+        token, parsed = _GIVEN[flag]
+        from_config = "config-dir" if key == "out_dir" else ["config", key]  # no parser makes a list
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: from_config}))
+        positional = ["degrees.csv"] if subcommand == "degree-fit" else []
+        for extra in ([f"--{flag}", token, "--config", str(config)], ["--config", str(config)], []):
+            assert main([subcommand, *positional, *extra]) == 0
+
+        def fallback(f: str, configured=None):
+            if subcommand == "ensemble" and f != "out-dir":
+                return None
+            return cli._DEFAULTS.get(f.replace("-", "_")) if configured is None else configured
+
+        defaults = {f: fallback(f) for f in flags}
+        assert read == [{**defaults, flag: parsed}, {**defaults, flag: fallback(flag, from_config)}, defaults]
 
 
 class TestValidation:

@@ -339,7 +339,7 @@ class TestPrDistribution:
         assert walk_horizon_periods(SpinChainParams(n=4, epsilon=5.0)) == 1
 
     def test_horizon_overflow_rejected(self):
-        # 1 / (g eps T1) is inf at the smallest subnormal epsilon
+        # 2 / (pi eps) is inf at the smallest subnormal epsilon
         with pytest.raises(ValueError, match="tunneling horizon overflows"):
             walk_horizon_periods(SpinChainParams(n=4, epsilon=5e-324))
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import dtcnet
+import dtcnet.cli
 
 _spec = importlib.util.spec_from_file_location(
     "edge_gate", Path(__file__).resolve().parent.parent / "tools" / "edge_gate.py"
@@ -37,13 +38,14 @@ def _exports(*differing: str) -> dict:
 
 
 def _report(graphs: dict | None = None, csvs: dict | None = None, verdicts: dict | None = None,
-            exports: dict | None = None) -> dict:
+            exports: dict | None = None, cli: dict | None = None) -> dict:
     return {
         "sweep_n8_fixture": graphs or _graphs(),
         "sweep_n8_fresh_u2": _graphs(),
         "ensemble_graphs": _graphs(),
         "ensemble_exports": exports or _exports(),
         "ensemble_csvs": csvs or _csvs(),
+        "cli_outputs": cli or _csvs(files=29),
         "degree_verdicts": verdicts or _verdicts(),
     }
 
@@ -71,6 +73,35 @@ def test_differing_csv_fails():
 def test_differing_file_lists_fail():
     csvs = _csvs(files=100, differing=("seed 2: file lists differ",))
     assert edge_gate.failures(_report(csvs=csvs)) == ["ensemble_csvs: seed 2: file lists differ"]
+
+
+def test_differing_cli_output_fails():
+    cli = _csvs(files=29, differing=("walk: stderr differs", "simulate: U.npy differs"))
+    assert edge_gate.failures(_report(cli=cli)) == [
+        "cli_outputs: walk: stderr differs", "cli_outputs: simulate: U.npy differs"
+    ]
+
+
+class _LoudCli:
+    """dtcnet whose command line prints one extra line before every run."""
+
+    class cli:
+        @staticmethod
+        def main(argv):
+            print("extra")
+            return dtcnet.cli.main(argv)
+
+
+def test_cli_runs_compared(monkeypatch):
+    monkeypatch.setattr(edge_gate, "CLI_RUNS", {
+        "graph": "graph --n 3 --epsilon 0.1 --format dot",
+        "classical": "classical --n 3",
+        "walk": "walk --n 3 --epsilon 0",  # refused: exit 1 and a one-line message
+    })
+    assert edge_gate.cli_gate(dtcnet, dtcnet) == {"files": 4, "identical": 4, "differing": []}
+    assert edge_gate.cli_gate(_LoudCli(), dtcnet)["differing"] == [
+        f"{name}: stdout differs" for name in ("graph", "classical", "walk")
+    ]
 
 
 def test_differing_degree_verdict_fails():

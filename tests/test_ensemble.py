@@ -329,7 +329,7 @@ def _counted(monkeypatch, name: str) -> list:
 
 
 class TestOnePropagationPerEpsilon:
-    """Each epsilon's propagator is built once and the basis propagated once."""
+    """Each epsilon's U is built at most once, only when a task reads it; the basis propagated once."""
 
     @pytest.mark.parametrize(
         "epsilons, tasks, built, propagated",
@@ -340,6 +340,10 @@ class TestOnePropagationPerEpsilon:
             ((0.012, 0.1), frozenset({"spectrum", "walk"}), [0.0, 0.012, 0.1], 3),
             # neither spectrum nor walk: no basis propagation at all
             ((0.0, 0.1), frozenset({"graph", "levelstats"}), [0.0, 0.1], 0),
+            # no task reads U: no build at all
+            ((0.0, 0.1), frozenset({"classical"}), [], 0),
+            # the walk is skipped at epsilon = 0: no build
+            ((0.0,), frozenset({"walk"}), [], 0),
         ],
     )
     def test_build_and_propagation_counts(self, monkeypatch, epsilons, tasks, built, propagated):

@@ -4,7 +4,7 @@
 
 Run from the root of a checkout; its ./src/dtcnet is compared with the
 baseline checkout's src/dtcnet, imported side by side in one process
-(the baseline as the package dtcnet_baseline). Six checks:
+(the baseline as the package dtcnet_baseline). Seven checks:
 
 - the 600 spectra of the test suite's sweep_n8 fixture (n = 8, six
   epsilons, 100 realizations, seed 1234): the T graphs;
@@ -20,6 +20,9 @@ baseline checkout's src/dtcnet, imported side by side in one process
   compared byte for byte; a graph with a flip is skipped and counted;
 - `dtcnet ensemble` on that config at seeds 0-2: every CSV it writes,
   compared byte for byte;
+- one small run of each other subcommand (CLI_RUNS): its exit code, its
+  stdout and stderr with the output directory replaced by <out>, and
+  every file it writes, compared byte for byte;
 - the degree-distribution verdicts: ensemble.degree_fit, each side on
   its own graphs, over the pooled degrees of each fixture epsilon (T,
   100 realizations) and of each seed, epsilon and period (T, 2T) of the
@@ -31,10 +34,10 @@ The report also gives max |H - H_baseline|, the largest residual and
 Gram defect the checked spectra report, and their Schur fallbacks.
 
 The gate exits 1 when a flip's |margin| reaches FLIP_MARGIN, when the
-two sides take different 2T routes, when an export document or an
-ensemble CSV differs, when the two runs write different file lists, or
-when a degree fit's verdict (or its skip message) differs; otherwise it
-exits 0.
+two sides take different 2T routes, when an export document, an ensemble
+CSV, or a subcommand's exit code, message or file differs, when two runs
+write different file lists, or when a degree fit's verdict (or its skip
+message) differs; otherwise it exits 0.
 """
 
 from __future__ import annotations
@@ -66,6 +69,19 @@ CSV_SEEDS = range(3)
 FLIP_MARGIN = 1e-11
 # the export_graph formats; "nodes" is export_nodes_csv
 EXPORTS = ("dot", "graphml", "edge-csv", "nodes")
+# run name -> its dtcnet arguments; each run writes to <root>/<name>,
+# where {root} holds every run of one side
+CLI_RUNS = {
+    "simulate": "simulate --n 4 --epsilon 0.1 --seed 3",
+    "graph-csv": "graph --n 8 --epsilon 0.012 --seed 1 --format csv",
+    "graph-dot": "graph --n 8 --epsilon 0.012 --seed 1 --format dot",
+    "graph-graphml": "graph --n 8 --epsilon 0.012 --seed 1 --format graphml",
+    "level-stats": "level-stats --n 6 --epsilon 0,0.012,0.1 --seed 2 --realizations 3",
+    "spectrum": "spectrum --n 6 --epsilon 0,0.012,0.1 --seed 2 --realizations 3 --periods 32",
+    "walk": "walk --n 6 --epsilon 0.1 --seed 4",
+    "classical": "classical --n 6",
+    "degree-fit": "degree-fit {root}/graph-csv/nodes-eps0p012.csv --n 8 --epsilon 0.012",
+}
 
 
 def load(src: Path, name: str):
@@ -233,22 +249,53 @@ def run_ensemble_csvs(pkg, seed: int, out: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(run_dir.glob("*.csv"))}
 
 
+def compare_files(label: str, new: dict[str, bytes], old: dict[str, bytes], part: dict) -> None:
+    """Count two runs' files into part (files, identical, differing), byte for byte."""
+    if sorted(new) != sorted(old):
+        part["differing"].append(f"{label}: file lists differ")
+    for name in sorted(set(new) & set(old)):
+        part["files"] += 1
+        if new[name] == old[name]:
+            part["identical"] += 1
+        else:
+            part["differing"].append(f"{label}: {name} differs")
+
+
 def csv_gate(pkg, base) -> dict:
-    files = identical = 0
-    differing = []
+    part = {"files": 0, "identical": 0, "differing": []}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in CSV_SEEDS:
             new = run_ensemble_csvs(pkg, seed, Path(tmp) / "change")
             old = run_ensemble_csvs(base, seed, Path(tmp) / "baseline")
-            if sorted(new) != sorted(old):
-                differing.append(f"seed {seed}: file lists differ")
-            for name in sorted(set(new) & set(old)):
-                files += 1
-                if new[name] == old[name]:
-                    identical += 1
-                else:
-                    differing.append(f"seed {seed}: {name} differs")
-    return {"files": files, "identical": identical, "differing": differing}
+            compare_files(f"seed {seed}", new, old, part)
+    return part
+
+
+def run_cli(pkg, name: str, root: Path) -> tuple:
+    """CLI_RUNS[name] through pkg.cli.main: (exit code, stdout, stderr, {file: bytes})."""
+    out = root / name
+    argv = [token.format(root=root) for token in CLI_RUNS[name].split()] + ["--out-dir", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = pkg.cli.main(argv)
+    paths = sorted(out.rglob("*")) if out.is_dir() else []
+    files = {str(path.relative_to(out)): path.read_bytes() for path in paths if path.is_file()}
+    stdout, stderr = (text.getvalue().replace(str(root), "<out>") for text in (stdout, stderr))
+    return code, stdout, stderr, files
+
+
+def cli_gate(pkg, base) -> dict:
+    """Each CLI_RUNS run on both sides: exit code, stdout, stderr and written files."""
+    part = {"files": 0, "identical": 0, "differing": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CLI_RUNS:
+            *new, new_files = run_cli(pkg, name, Path(tmp) / "change")
+            *old, old_files = run_cli(base, name, Path(tmp) / "baseline")
+            for what, new_value, old_value in zip(("exit code", "stdout", "stderr"), new, old):
+                if new_value != old_value:
+                    part["differing"].append(f"{name}: {what} differs")
+            compare_files(name, new_files, old_files, part)
+    return part
 
 
 def failures(report: dict) -> list[str]:
@@ -279,6 +326,7 @@ def main(argv=None) -> int:
         "ensemble_graphs": ensemble.report(),
         "ensemble_exports": ensemble.exports,
         "ensemble_csvs": csv_gate(pkg, base),
+        "cli_outputs": cli_gate(pkg, base),
         "degree_verdicts": degree_gate(pkg, base, {**fixture.pools, **ensemble.pools}),
     }
     text = json.dumps(report, indent=1)
