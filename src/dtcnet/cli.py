@@ -16,7 +16,7 @@ import csv
 import json
 import sys
 from dataclasses import replace
-from numbers import Integral, Real
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -251,8 +251,8 @@ def _read_degree_column(path: Path) -> np.ndarray:
 def _cmd_degree_fit(args, config: dict) -> int:
     degrees = _read_degree_column(Path(args.degree_csv))
     (eps,) = _epsilons(args, single=True) if args.epsilon is not None else (float("nan"),)
-    n = 0 if args.n is None else args.n  # the n column of the fit row
-    check_setting("n", n, Integral)
+    # the n column of the fit row: 0 when not given, else a chain's own n (>= 2)
+    n = 0 if args.n is None else SpinChainParams(n=args.n).n
 
     try:
         fit, verdict = degree_fit(degrees)

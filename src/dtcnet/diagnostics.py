@@ -70,7 +70,6 @@ class WalkRecord:
     """Configuration populations over stroboscopic time, one row per period."""
 
     populations: np.ndarray
-    initial: Configuration
 
 
 def gap_ratios(quasienergies) -> GapRatioSample:
@@ -224,7 +223,7 @@ def walk_populations(U: FloquetOperator, initial: Configuration, N: int) -> Walk
     row_defect = np.abs(populations.sum(axis=1) - 1.0).max()
     if row_defect > 1e-10:
         raise RuntimeError(f"walk populations not normalized: defect {row_defect:.3e}")
-    return WalkRecord(populations=populations, initial=initial)
+    return WalkRecord(populations=populations)
 
 
 def participation_ratio(state) -> float:

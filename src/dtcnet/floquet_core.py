@@ -8,7 +8,6 @@ lambda_s = -arg(mu_s)/period folded into (-pi/period, pi/period].
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -66,7 +65,7 @@ STRUCTURE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class FloquetOperator:
-    """One- or multi-period propagator with its provenance hash.
+    """One- or multi-period propagator.
 
     A one-period drive propagator also keeps its factors
     U = diag(phase) R^(x n): phase is the 2^n Ising-step phase vector and
@@ -79,7 +78,6 @@ class FloquetOperator:
 
     matrix: np.ndarray
     period: float
-    params_hash: str
     phase: np.ndarray | None = None
     theta: float | None = None
 
@@ -155,18 +153,6 @@ class EffectiveHamiltonian:
         return complex(self.matrix[i, j])
 
 
-def _params_hash(params: SpinChainParams, diag: np.ndarray, pulse: float) -> str:
-    h = hashlib.sha256()
-    h.update(
-        repr(
-            (params.n, params.J0, params.alpha, params.W, params.epsilon, params.T1, params.T2)
-        ).encode()
-    )
-    h.update(np.ascontiguousarray(diag).tobytes())
-    h.update(np.float64(pulse).tobytes())
-    return h.hexdigest()[:16]
-
-
 def floquet_operator(H1: DenseOperator, H2: DenseOperator, params: SpinChainParams) -> FloquetOperator:
     """Build the one-period propagator U = exp(-i H2 T2) exp(-i H1 T1).
 
@@ -203,7 +189,6 @@ def _closed_form_propagator(params: SpinChainParams, diag: np.ndarray, c: float)
     return FloquetOperator(
         matrix=phase[:, None] * _kron_power(_x_rotation(theta), params.n),
         period=params.period,
-        params_hash=_params_hash(params, diag, c),
         phase=phase,
         theta=theta,
     )
@@ -254,23 +239,20 @@ def drive_unitary(params: SpinChainParams, disorder: DisorderRealization) -> Flo
     """One-period propagator of the drive, built straight from its parameters.
 
     Takes the Ising-step energies and the pulse amplitude g(1 - epsilon)
-    without assembling the dense drive Hamiltonians; the matrix and hash
-    equal floquet_operator(*build_drive(params, disorder), params).
+    without assembling the dense drive Hamiltonians; the matrix equals
+    floquet_operator(*build_drive(params, disorder), params).
     """
     diag = diagonal_energies(params, disorder)
     return _closed_form_propagator(params, diag, params.g * (1.0 - params.epsilon))
 
 
 def squared_floquet(op: FloquetOperator) -> FloquetOperator:
-    """Two-period propagator U^2; period doubles, hash and pulse angle theta are preserved.
+    """Two-period propagator U^2; period doubles, pulse angle theta is preserved.
 
     U^2 is formed as U applied to U's matrix (FloquetOperator.apply): a
     factored product for a drive U, the dense one otherwise.
     """
-    return FloquetOperator(
-        matrix=op.apply(op.matrix), period=2.0 * op.period, params_hash=op.params_hash,
-        theta=op.theta,
-    )
+    return FloquetOperator(matrix=op.apply(op.matrix), period=2.0 * op.period, theta=op.theta)
 
 
 def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:

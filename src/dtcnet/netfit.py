@@ -47,7 +47,6 @@ class DegreeHistogram:
     bin_edges: np.ndarray
     densities: np.ndarray
     zero_count: int
-    sample_size: int
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,6 @@ def log_binned_histogram(degrees, ratio: float = DEFAULT_BIN_RATIO) -> DegreeHis
         bin_edges=edges_arr,
         densities=densities,
         zero_count=zero_count,
-        sample_size=int(positive.size),
     )
 
 

@@ -53,9 +53,8 @@ class ClassicalConfiguration:
 
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
-    """Curvature matrix, its spectrum, and the resulting classification."""
+    """Spectrum of a curvature matrix and the resulting classification."""
 
-    jacobian: np.ndarray
     eigenvalues: np.ndarray
     classification: str
 
@@ -107,6 +106,4 @@ def classify_fixed_point(j: np.ndarray) -> StabilityReport:
         classification = "stable"
     else:
         classification = "unstable_saddle"
-    return StabilityReport(
-        jacobian=matrix, eigenvalues=eigenvalues, classification=classification
-    )
+    return StabilityReport(eigenvalues=eigenvalues, classification=classification)

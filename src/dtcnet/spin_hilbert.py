@@ -169,20 +169,18 @@ class DisorderRealization:
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """A dense 2^n x 2^n complex matrix with an optional hermiticity pledge."""
+    """A dense 2^n x 2^n Hermitian matrix; shape and Hermiticity are checked on construction."""
 
     matrix: np.ndarray
     n: int
-    hermitian_flag: bool = False
 
     def __post_init__(self) -> None:
         dim = 2**self.n
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {self.matrix.shape} != ({dim}, {dim})")
-        if self.hermitian_flag:
-            defect = np.abs(self.matrix - self.matrix.conj().T).max()
-            if defect >= HERMITICITY_TOL:
-                raise ValueError(f"hermitian_flag set but defect {defect:.3e}")
+        defect = np.abs(self.matrix - self.matrix.conj().T).max()
+        if defect >= HERMITICITY_TOL:
+            raise ValueError(f"operator is not Hermitian: defect {defect:.3e}")
 
 
 def domain_walls(config: Configuration) -> int:
@@ -225,7 +223,7 @@ def pauli_string(axes: list[tuple[int, str]], n: int) -> DenseOperator:
     matrix = np.array([[1.0 + 0.0j]])
     for site in range(1, n + 1):
         matrix = np.kron(matrix, per_site.get(site, _IDENTITY_2))
-    return DenseOperator(matrix=matrix, n=n, hermitian_flag=True)
+    return DenseOperator(matrix=matrix, n=n)
 
 
 def sample_disorder(params: SpinChainParams, seed: int, realization_index: int) -> DisorderRealization:
@@ -289,8 +287,8 @@ def build_drive(params: SpinChainParams, disorder: DisorderRealization) -> tuple
         H1 += amp * pauli_string([(l, "x")], n).matrix
     H2 = np.diag(diag.astype(complex))
     return (
-        DenseOperator(matrix=H1, n=n, hermitian_flag=True),
-        DenseOperator(matrix=H2, n=n, hermitian_flag=True),
+        DenseOperator(matrix=H1, n=n),
+        DenseOperator(matrix=H2, n=n),
     )
 
 
@@ -300,7 +298,7 @@ def domain_wall_operator(n: int) -> DenseOperator:
     eye = np.eye(2**n, dtype=complex)
     for l in range(1, n):
         matrix += eye - pauli_string([(l, "z"), (l + 1, "z")], n).matrix
-    return DenseOperator(matrix=matrix, n=n, hermitian_flag=True)
+    return DenseOperator(matrix=matrix, n=n)
 
 
 def parity_operator(n: int) -> DenseOperator:

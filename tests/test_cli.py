@@ -170,6 +170,9 @@ class TestValidation:
             (["ensemble"], {**_ENSEMBLE_CONFIG, "periods": "x"}, "periods"),
             (["ensemble"], {**_ENSEMBLE_CONFIG, "tasks": [["graph"]]}, "tasks"),
             (["ensemble"], {**_ENSEMBLE_CONFIG, "tasks": ["bogus", 5]}, "tasks"),
+            # a given degree-fit --n follows the chain's rule
+            (["degree-fit", "degrees.csv", "--n", "-3"], {}, "n"),
+            (["degree-fit", "degrees.csv", "--n", "1"], {}, "n"),
         ],
     )
     def test_config_value_of_wrong_type_exits_1(self, argv, config, setting, tmp_path, capsys, monkeypatch):

@@ -32,7 +32,7 @@ from invariants import (
 
 
 def _identity(dim: int) -> FloquetOperator:
-    return FloquetOperator(matrix=np.eye(dim, dtype=complex), period=2.0, params_hash="test")
+    return FloquetOperator(matrix=np.eye(dim, dtype=complex), period=2.0)
 
 
 class TestGapRatios:
@@ -271,7 +271,7 @@ class TestWalkPopulations:
         assert np.all(record.populations[:, 3] == 1.0)
 
     def test_non_unitary_operator_rejected(self):
-        doubling = FloquetOperator(matrix=2.0 * np.eye(4, dtype=complex), period=2.0, params_hash="test")
+        doubling = FloquetOperator(matrix=2.0 * np.eye(4, dtype=complex), period=2.0)
         with pytest.raises(RuntimeError, match="walk populations not normalized"):
             walk_populations(doubling, Configuration(index=1, n=2), 1)
 

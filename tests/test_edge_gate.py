@@ -1,7 +1,9 @@
 """The edge gate's verdict (tools/edge_gate.py), on synthetic reports."""
 
 import importlib.util
+from dataclasses import dataclass
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -47,6 +49,7 @@ def _report(graphs: dict | None = None, csvs: dict | None = None, verdicts: dict
         "ensemble_csvs": csvs or _csvs(),
         "cli_outputs": cli or _csvs(files=29),
         "degree_verdicts": verdicts or _verdicts(),
+        "public_api": {"removed": [], "added": []},
     }
 
 
@@ -181,3 +184,31 @@ def test_two_period_routes_counted_per_side(monkeypatch):
 def test_every_reason_is_listed():
     report = _report(graphs=_graphs(5e-10, 1e-16, -4e-8), csvs=_csvs(differing=("seed 0: a.csv differs",)))
     assert len(edge_gate.failures(report)) == 3
+
+
+@dataclass
+class _Record:
+    values: int
+
+
+@dataclass
+class _SizedRecord:
+    values: int
+    size: int
+
+
+def _package(record: type) -> ModuleType:
+    """A package with one function, one module, one _ name and the dataclass record as Record."""
+    pkg = ModuleType("pkg")
+    pkg.run = lambda spec, seed=0: None
+    pkg.inner = ModuleType("pkg.inner")
+    pkg._private = lambda x: x
+    pkg.Record = record
+    return pkg
+
+
+def test_public_api_lists_a_removed_field():
+    assert edge_gate.public_api(_package(_Record)) == {"Record", "Record(values)", "run", "run(seed)", "run(spec)"}
+    part = edge_gate.api_gate(_package(_Record), _package(_SizedRecord))
+    assert part == {"removed": ["Record(size)"], "added": []}
+    assert edge_gate.failures({**_report(), "public_api": part}) == []

@@ -40,15 +40,11 @@ from invariants import (
 
 
 def _identity_floquet(dim: int, period: float = 2.0) -> FloquetOperator:
-    return FloquetOperator(
-        matrix=np.eye(dim, dtype=complex), period=period, params_hash="test"
-    )
+    return FloquetOperator(matrix=np.eye(dim, dtype=complex), period=period)
 
 
 def _zero_operator(n: int) -> DenseOperator:
-    return DenseOperator(
-        matrix=np.zeros((2**n, 2**n), dtype=complex), n=n, hermitian_flag=True
-    )
+    return DenseOperator(matrix=np.zeros((2**n, 2**n), dtype=complex), n=n)
 
 
 class TestFloquetOperator:
@@ -100,11 +96,11 @@ class TestFloquetOperator:
         lopsided[0, 1] *= 1.5
         lopsided[1, 0] *= 1.5
         with pytest.raises(ValueError):
-            floquet_operator(
-                DenseOperator(matrix=lopsided, n=2, hermitian_flag=True), H2, params
-            )
+            floquet_operator(DenseOperator(matrix=lopsided, n=2), H2, params)
         with pytest.raises(ValueError):
             floquet_operator(H1, H1, params)  # off-diagonal second step
+        with pytest.raises(ValueError, match="not Hermitian"):
+            floquet_operator(H1, DenseOperator(matrix=H2.matrix + 0.5j * np.eye(4), n=2), params)
 
     def test_unitarity(self):
         check_propagator_unitarity()
@@ -159,7 +155,7 @@ class TestFactoredPropagator:
 
     def test_hand_made_operator_takes_dense_path(self):
         q, _ = np.linalg.qr(_random_states(16, 16, 2))
-        op = FloquetOperator(matrix=q, period=2.0, params_hash="test")
+        op = FloquetOperator(matrix=q, period=2.0)
         block = _random_states(16, 3, 3)
         assert np.array_equal(op.apply(block), q @ block)
         states = stroboscopic_evolve(op, block[:, 0], 3)
@@ -175,7 +171,6 @@ class TestFloquetSpectrum:
         U = FloquetOperator(
             matrix=np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)]),
             period=1.0,
-            params_hash="test",
         )
         lams = sorted(floquet_spectrum(U).quasienergies)
         assert lams == pytest.approx([-np.pi / 2, np.pi / 2])
@@ -204,7 +199,6 @@ class TestFloquetSpectrum:
         U = FloquetOperator(
             matrix=np.diag([np.exp(1j * (np.pi - 1e-12)), 1.0 + 0j]),
             period=1.0,
-            params_hash="test",
         )
         spectrum = floquet_spectrum(U)
         assert len(spectrum.branch_warnings) == 1
@@ -213,7 +207,7 @@ class TestFloquetSpectrum:
         assert clean.branch_warnings == ()
 
     def test_non_square_operator_rejected(self):
-        op = FloquetOperator(matrix=np.zeros((4, 2), dtype=complex), period=2.0, params_hash="test")
+        op = FloquetOperator(matrix=np.zeros((4, 2), dtype=complex), period=2.0)
         with pytest.raises(ValueError, match="propagator must be square"):
             floquet_spectrum(op)
 
@@ -354,9 +348,7 @@ class TestBlockEigensolver:
 def _symmetric_unitary(phases: np.ndarray, seed: int) -> FloquetOperator:
     """Q diag(e^{i phases}) Q^T with Q real orthogonal, marked with the identity half pulse."""
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(phases.size, phases.size)))
-    return FloquetOperator(
-        matrix=(q * np.exp(1j * phases)) @ q.T, period=1.0, params_hash="test", theta=0.0
-    )
+    return FloquetOperator(matrix=(q * np.exp(1j * phases)) @ q.T, period=1.0, theta=0.0)
 
 
 def _record_schur_sizes(monkeypatch) -> list[int]:
@@ -427,7 +419,7 @@ class TestSymmetrizedSolver:
         floquet_spectrum(drive_unitary(zero, sample_disorder(zero, 3, 0)))
         assert calls == [("schur", 2)] * 32
         calls.clear()
-        hand_made = FloquetOperator(matrix=U.matrix.copy(), period=U.period, params_hash="test")
+        hand_made = FloquetOperator(matrix=U.matrix.copy(), period=U.period)
         floquet_spectrum(hand_made)
         assert calls == [("schur", 64)]
 
@@ -467,7 +459,7 @@ class TestSymmetrizedSolver:
         rotation = floquet_core._x_rotation(U.theta)
         assert np.abs(symmetrizer @ symmetrizer - rotation).max() < 1e-15
         assert squared_floquet(U).theta == U.theta
-        hand_made = FloquetOperator(matrix=U.matrix.copy(), period=U.period, params_hash="test")
+        hand_made = FloquetOperator(matrix=U.matrix.copy(), period=U.period)
         assert hand_made.theta is None
 
     @pytest.mark.parametrize("squared", [False, True])
@@ -479,7 +471,7 @@ class TestSymmetrizedSolver:
         U = drive_unitary(params, sample_disorder(params, 12, 0))
         if squared:
             U = squared_floquet(U)
-        op = FloquetOperator(matrix=U.matrix, period=U.period, params_hash="test", theta=0.6)
+        op = FloquetOperator(matrix=U.matrix, period=U.period, theta=0.6)
         calls = _record_solvers(monkeypatch)
         spectrum = floquet_spectrum(op)
         assert calls == [("symmetrized", 64), ("schur", 64)]
@@ -727,7 +719,7 @@ class TestTwoPeriodSpectrum:
         phis = np.array([0.3, -1.1, 0.7, 2.0])
         U = np.zeros((4, 4), dtype=complex)
         U[(np.arange(4) + 1) % 4, np.arange(4)] = np.exp(1j * phis)
-        op = FloquetOperator(matrix=U, period=1.0, params_hash="test")
+        op = FloquetOperator(matrix=U, period=1.0)
         assert floquet_core._support_components(U)[0] == 1
         H = effective_hamiltonian(two_period_spectrum(op, floquet_spectrum(op)))
         cross = np.arange(4)[:, None] % 2 != np.arange(4)[None, :] % 2
@@ -740,9 +732,7 @@ class TestTwoPeriodSpectrum:
         rng = np.random.default_rng(4)
         Q1, Q2 = (np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
                   for _ in range(2))
-        op = FloquetOperator(
-            matrix=scipy.linalg.block_diag(Q1, Q2), period=1.0, params_hash="test"
-        )
+        op = FloquetOperator(matrix=scipy.linalg.block_diag(Q1, Q2), period=1.0)
         assert floquet_core._support_components(squared_floquet(op).matrix)[0] == 2
         spectrum = two_period_spectrum(op, floquet_spectrum(op))
         reference = _fresh_two_period(op)
@@ -768,9 +758,7 @@ class TestTwoPeriodSpectrum:
         # U eigenphases within BRANCH_MARGIN of +-pi/2 double onto the cut
         near = 0.5 * np.pi - 0.02 * floquet_core.BRANCH_MARGIN
         phases = np.array([near, -near, 0.3, -1.1, 2.0, -2.6, 1.3, 0.9])
-        op = FloquetOperator(
-            matrix=_random_unitary(phases.size, phases, 11), period=1.0, params_hash="test"
-        )
+        op = FloquetOperator(matrix=_random_unitary(phases.size, phases, 11), period=1.0)
         spectrum = floquet_spectrum(op)
         assert spectrum.branch_warnings == ()
         doubled = two_period_spectrum(op, spectrum)
@@ -802,13 +790,12 @@ class TestDriveUnitary:
     @pytest.mark.parametrize("eps", [0.0, 0.012, 0.3])
     def test_matches_reference_path(self, n, eps):
         # built from (params, disorder) it must equal the dense reference
-        # path exactly: same matrix bits, same provenance hash
+        # path exactly: same matrix bits
         params = SpinChainParams(n=n, epsilon=eps)
         disorder = sample_disorder(params, 17, 2)
         direct = drive_unitary(params, disorder)
         reference = floquet_operator(*build_drive(params, disorder), params)
         assert np.array_equal(direct.matrix, reference.matrix)
-        assert direct.params_hash == reference.params_hash
         assert direct.period == reference.period
 
     def test_disorder_size_mismatch_rejected(self):

@@ -20,6 +20,7 @@ from dtcnet import (
     realization_outputs,
 )
 from dtcnet.floquet_core import EffectiveHamiltonian
+from dtcnet.netfit import _lognormal_logpdf
 from invariants import (
     check_histogram_normalization,
     check_ks_sample_size_decreasing,
@@ -284,6 +285,12 @@ class TestLognormalLrTest:
         fit = PowerLawFit(beta=2.5, k_min=1, ks=0.0, n_tail=5)
         with pytest.raises(ValueError, match="insufficient tail: 5 samples >= 1, need 10"):
             lognormal_lr_test(np.arange(1, 6), fit)
+
+    def test_underflowing_tail_mass_gives_floor_loglikelihood(self):
+        # a truncation point far above the lognormal's bulk leaves a tail
+        # mass that underflows to 0; log(0) is replaced by a finite floor
+        logpdf = _lognormal_logpdf(np.array([2000.0, 3000.0]), 1999.5, 0.0, 0.01)
+        assert np.array_equal(logpdf, np.full(2, -1e12))
 
     def test_shuffle_invariance(self):
         check_lr_shuffle_invariance()

@@ -277,8 +277,7 @@ class TestOperatorInvariants:
         with pytest.raises(ValueError, match=r"matrix shape \(2, 2\) != \(4, 4\)"):
             DenseOperator(matrix=np.eye(2, dtype=complex), n=2)
 
-    def test_dense_operator_hermitian_flag_checked(self):
+    def test_dense_operator_hermiticity_checked(self):
         raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        assert DenseOperator(matrix=raising, n=1).n == 1
-        with pytest.raises(ValueError, match="hermitian_flag set but defect"):
-            DenseOperator(matrix=raising, n=1, hermitian_flag=True)
+        with pytest.raises(ValueError, match="operator is not Hermitian: defect 1.000e"):
+            DenseOperator(matrix=raising, n=1)

@@ -4,7 +4,8 @@
 
 Run from the root of a checkout; its ./src/dtcnet is compared with the
 baseline checkout's src/dtcnet, imported side by side in one process
-(the baseline as the package dtcnet_baseline). Seven checks:
+(the baseline as the package dtcnet_baseline). Seven checks and one
+listing:
 
 - the 600 spectra of the test suite's sweep_n8 fixture (n = 8, six
   epsilons, 100 realizations, seed 1234): the T graphs;
@@ -26,7 +27,11 @@ baseline checkout's src/dtcnet, imported side by side in one process
 - the degree-distribution verdicts: ensemble.degree_fit, each side on
   its own graphs, over the pooled degrees of each fixture epsilon (T,
   100 realizations) and of each seed, epsilon and period (T, 2T) of the
-  ensemble graphs above (three realizations).
+  ensemble graphs above (three realizations);
+- the public API, for information only: each side's public names (no
+  modules, no _ names) and, for each callable, its parameters as
+  name(param) (a dataclass's fields are its parameters); the entries
+  the change removed and added are listed, and no verdict reads them.
 
 Each edge that is in one graph and not the other is a flip, listed with
 its margin |K_ij| - |E_i - E_j| in the baseline's effective Hamiltonian.
@@ -45,6 +50,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import importlib.util
+import inspect
 import io
 import json
 import sys
@@ -298,6 +304,25 @@ def cli_gate(pkg, base) -> dict:
     return part
 
 
+def public_api(pkg) -> set[str]:
+    """pkg's public names (no modules, no _ names), and name(param) for each callable's parameters."""
+    entries = set()
+    for name in dir(pkg):
+        obj = getattr(pkg, name)
+        if name.startswith("_") or inspect.ismodule(obj):
+            continue
+        entries.add(name)
+        if callable(obj):
+            entries.update(f"{name}({param})" for param in inspect.signature(obj).parameters)
+    return entries
+
+
+def api_gate(pkg, base) -> dict:
+    """The public API entries the change removed and added; informational, failures() reads neither."""
+    new, old = public_api(pkg), public_api(base)
+    return {"removed": sorted(old - new), "added": sorted(new - old)}
+
+
 def failures(report: dict) -> list[str]:
     """Why the report fails the gate, one line per reason; empty if it passes."""
     reasons = []
@@ -328,6 +353,7 @@ def main(argv=None) -> int:
         "ensemble_csvs": csv_gate(pkg, base),
         "cli_outputs": cli_gate(pkg, base),
         "degree_verdicts": degree_gate(pkg, base, {**fixture.pools, **ensemble.pools}),
+        "public_api": api_gate(pkg, base),
     }
     text = json.dumps(report, indent=1)
     if args.output:
