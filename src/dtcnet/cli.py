@@ -28,6 +28,7 @@ from .ensemble import (
     check_size,
     degree_fit,
     eps_tag,
+    pooled_gap_ratios,
     realization_outputs,
     run_ensemble,
     write_classical_table,
@@ -299,7 +300,9 @@ def _cmd_level_stats(args, config: dict) -> int:
     payloads = _payloads(spec)
     for eps in epsilons:
         tag = eps_tag(eps)
-        ratios = np.concatenate([p["levelstats"][tag][0] for p in payloads])
+        ratios, notes = pooled_gap_ratios(payloads, eps)
+        for note in notes:
+            print(f"warning: {note}", file=sys.stderr)
         write_gap_ratio_table(out / f"gap-ratios-eps{tag}.csv", ratios)
         if ratios.size:
             print(f"eps={eps:g}: mean gap ratio {ratios.mean():.4f} over {ratios.size} ratios")

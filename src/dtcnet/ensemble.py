@@ -310,16 +310,25 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     return payload
 
 
+def pooled_gap_ratios(payloads: list[dict], eps: float) -> tuple[np.ndarray, list[str]]:
+    """The gap ratios of every payload at eps, and a note if degenerate gaps were excluded."""
+    key = eps_tag(eps)
+    ratios = np.concatenate([p["levelstats"][key][0] for p in payloads])
+    excluded = sum(p["levelstats"][key][1] for p in payloads)
+    return ratios, [f"levelstats eps={eps:g}: {excluded} degenerate gaps excluded"] if excluded else []
+
+
 def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
     """Execute the sweep and write pooled outputs plus manifest.json.
 
     Realizations run serially by default; DTCNET_THREADS > 1 maps them
     onto a thread pool. Either way results are reduced in realization
-    order, so aggregates do not depend on scheduling.
+    order, so aggregates do not depend on scheduling. The run writes into
+    <name>.partial and renames it to <name> once manifest.json is written.
     """
     check_size(spec.params.n)
     t_start = time.perf_counter()
-    run_dir = _fresh_run_dir(Path(out_dir), spec.seed)
+    run_dir, work_dir = _claim_run_dir(Path(out_dir), spec.seed)
 
     notes: list[str] = []
     workers = _worker_count(notes)
@@ -336,7 +345,7 @@ def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
     timings = {"map_s": round(time.perf_counter() - t_start, 3)}
 
     def record(task: str, *paths: Path) -> None:
-        artifacts.setdefault(task, []).extend(map(str, paths))
+        artifacts.setdefault(task, []).extend(str(run_dir / p.name) for p in paths)
 
     for eps in spec.epsilons:
         key = eps_tag(eps)
@@ -351,37 +360,35 @@ def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
                 except ValueError as exc:
                     notes.append(f"degree-histogram skipped ({sample}): {exc}")
                 else:
-                    record("graph", write_csv(run_dir / f"degree-hist-{sample}.csv", "bin_lo,bin_hi,density",
+                    record("graph", write_csv(work_dir / f"degree-hist-{sample}.csv", "bin_lo,bin_hi,density",
                                               hist.bin_edges[:-1], hist.bin_edges[1:], hist.densities))
                 try:
                     fit, verdict = degree_fit(degrees)
                 except ValueError as exc:
                     notes.append(f"degree-fit skipped ({sample}): {exc}")
                 else:
-                    record("graph", write_degree_fit(run_dir / f"degree-fit-{sample}.csv",
+                    record("graph", write_degree_fit(work_dir / f"degree-fit-{sample}.csv",
                                                      eps, spec.params.n, fit, verdict))
                 table = avg_degree_by_domain_walls(graphs)
                 means, stds = zip(*table.values())
-                record("graph", write_csv(run_dir / f"walls-{sample}.csv",
+                record("graph", write_csv(work_dir / f"walls-{sample}.csv",
                                           "epsilon,walls,mean_degree,std_degree,realizations",
                                           eps, list(table), means, stds, len(graphs)))
 
         if "levelstats" in spec.tasks:
-            ratios = np.concatenate([p["levelstats"][key][0] for p in payloads])
-            excluded = sum(p["levelstats"][key][1] for p in payloads)
-            if excluded:
-                notes.append(f"levelstats eps={eps:g}: {excluded} degenerate gaps excluded")
-            record("levelstats", write_gap_ratio_table(run_dir / f"gap-ratios-eps{key}.csv", ratios))
+            ratios, excluded_notes = pooled_gap_ratios(payloads, eps)
+            notes += excluded_notes
+            record("levelstats", write_gap_ratio_table(work_dir / f"gap-ratios-eps{key}.csv", ratios))
 
         if "spectrum" in spec.tasks:
-            record("spectrum", write_fidelity_table(run_dir / f"fidelity-eps{key}.csv", payloads, [eps]))
+            record("spectrum", write_fidelity_table(work_dir / f"fidelity-eps{key}.csv", payloads, [eps]))
 
         if "walk" in spec.tasks and eps > 0.0:
             for r, p in enumerate(payloads):
-                record("walk", *write_walk_tables(run_dir, f"eps{key}-r{r}", *p["walk"][key]))
+                record("walk", *write_walk_tables(work_dir, f"eps{key}-r{r}", *p["walk"][key]))
 
     if "classical" in spec.tasks:
-        record("classical", write_classical_table(run_dir / "classical.csv", spec.params))
+        record("classical", write_classical_table(work_dir / "classical.csv", spec.params))
 
     timings["total_s"] = round(time.perf_counter() - t_start, 3)
     manifest = RunManifest(
@@ -396,26 +403,32 @@ def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
         timings=timings,
         notes=notes,
     )
-    with open(run_dir / "manifest.json", "w") as fh:
+    with open(work_dir / "manifest.json", "w") as fh:
         json.dump(manifest.to_json(), fh, indent=2)
+    work_dir.rename(run_dir)
     return manifest
 
 
-def _fresh_run_dir(out_dir: Path, seed: int) -> Path:
-    """Create run-<UTC stamp>-seed<seed>, or its first free -1, -2, ... variant.
+def _claim_run_dir(out_dir: Path, seed: int) -> tuple[Path, Path]:
+    """Claim run-<UTC stamp>-seed<seed>, or its first free -1, -2, ... variant.
 
-    Each candidate is claimed by an atomic mkdir, so runs started in the
-    same second never share a directory.
+    Returns (<name>, <name>.partial). The claim is an atomic mkdir of
+    <name>.partial, kept only if no finished run holds <name>; the run's
+    final rename frees the one and fills the other at once, so runs
+    started in the same second never share a name.
     """
     stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S")
     base = f"run-{stamp}-seed{seed}"
     for k in count():
         run_dir = out_dir / (f"{base}-{k}" if k else base)
+        work_dir = run_dir.with_name(f"{run_dir.name}.partial")
         try:
-            run_dir.mkdir(parents=True, exist_ok=False)
-            return run_dir
+            work_dir.mkdir(parents=True, exist_ok=False)
         except FileExistsError:
             continue
+        if not run_dir.exists():
+            return run_dir, work_dir
+        work_dir.rmdir()
 
 
 def degree_fit(degrees):

@@ -105,7 +105,7 @@ def percolation_graph(H: EffectiveHamiltonian) -> PercolationGraph:
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
     defect = np.abs(matrix - matrix.conj().T).max()
-    if defect >= HERMITICITY_PRE_TOL:
+    if not defect < HERMITICITY_PRE_TOL:
         raise ValueError(f"effective Hamiltonian not Hermitian: defect {defect:.3e}")
 
     energies = np.real(np.diag(matrix))

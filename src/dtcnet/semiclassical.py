@@ -97,7 +97,7 @@ def classify_fixed_point(j: np.ndarray) -> StabilityReport:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("jacobian must be a square matrix")
     defect = np.abs(matrix - matrix.T).max()
-    if defect > SYMMETRY_TOL:
+    if not defect <= SYMMETRY_TOL:
         raise ValueError(f"jacobian not symmetric: defect {defect:.3e}")
     eigenvalues = np.linalg.eigvalsh(matrix)
     if np.any(np.abs(eigenvalues) < MARGINAL_TOL):

@@ -179,7 +179,7 @@ class DenseOperator:
         if self.matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {self.matrix.shape} != ({dim}, {dim})")
         defect = np.abs(self.matrix - self.matrix.conj().T).max()
-        if defect >= HERMITICITY_TOL:
+        if not defect < HERMITICITY_TOL:
             raise ValueError(f"operator is not Hermitian: defect {defect:.3e}")
 
 

@@ -536,6 +536,15 @@ class TestLevelStatsCommand:
             "warning: eps=0.02 realization 0 T: 1 spectrum blocks solved by Schur fallback\n"
         )
 
+    def test_excluded_degenerate_gaps_reported_on_stderr(self, tmp_path, capsys):
+        # the note run_ensemble writes into its manifest; at zero error the
+        # dimer pairs leave 24 of each realization's 63 gaps degenerate
+        assert main(
+            ["level-stats", "--n", "6", "--epsilon", "0", "--realizations", "3", "--seed", "2",
+             "--out-dir", str(tmp_path)]
+        ) == 0
+        assert capsys.readouterr().err == "warning: levelstats eps=0: 72 degenerate gaps excluded\n"
+
     def test_negative_zero_collides_with_zero(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["level-stats", "--n", "4", "--epsilon", "0,-0", "--out-dir", str(out)]) == 1
@@ -826,7 +835,10 @@ class TestConsoleScript:
     def test_zero_coupling_run_is_warning_free(self, argv, written, tmp_path):
         proc = _strict_module_run(argv + ["--out-dir", str(tmp_path)])
         assert proc.returncode == 0
-        assert proc.stderr == ""
+        # no Python warning; level-stats notes the gaps it excluded, here
+        # all 6 of a chain whose levels are all degenerate
+        notes = {"level-stats": "warning: levelstats eps=0: 6 degenerate gaps excluded\n"}
+        assert proc.stderr == notes.get(argv[0], "")
         assert (tmp_path / written).exists()
 
     def test_import_leaves_optimize_and_integrate_unloaded(self):

@@ -262,6 +262,20 @@ class TestRunHygiene:
         for manifest in (first, second):
             assert (Path(manifest.run_dir) / "manifest.json").is_file()
 
+    def test_raising_run_takes_no_final_name(self, tmp_path, monkeypatch):
+        # the classical table is written last, after the other tasks' CSVs
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dtcnet.ensemble, "write_classical_table", fail)
+        spec = _spec(params=SpinChainParams(n=4), epsilons=(0.1,), tasks=frozenset(dtcnet.TASKS))
+        with pytest.raises(OSError, match="disk full"):
+            run_ensemble(spec, out_dir=tmp_path)
+        (left,) = tmp_path.iterdir()
+        assert left.name.endswith(".partial")
+        assert any(left.glob("*.csv"))
+        assert not (left / "manifest.json").exists()
+
     def test_threaded_run_writes_identical_csvs(self, tmp_path, monkeypatch):
         spec = _spec(
             params=SpinChainParams(n=4),

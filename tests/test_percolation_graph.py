@@ -152,6 +152,9 @@ class TestPercolationRule:
         [
             (np.eye(3, dtype=complex), "dimension 3 is not a power of two"),
             (np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), "not Hermitian"),
+            # a NaN coupling, even a symmetric one, leaves a NaN defect
+            (np.array([[0, np.nan, 0, 0], [np.nan, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], dtype=complex),
+             "not Hermitian: defect nan"),
         ],
     )
     def test_invalid_hamiltonian_rejected(self, matrix, message):

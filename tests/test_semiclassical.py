@@ -164,6 +164,8 @@ class TestClassifyFixedPoint:
     def test_asymmetric_input_rejected(self):
         with pytest.raises(ValueError):
             classify_fixed_point(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="jacobian not symmetric: defect nan"):
+            classify_fixed_point(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_eigenvalues_sorted_and_real(self):
         report = classify_fixed_point(np.array([[2.0, 0.5], [0.5, -1.0]]))

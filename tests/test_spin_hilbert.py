@@ -281,3 +281,6 @@ class TestOperatorInvariants:
         raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="operator is not Hermitian: defect 1.000e"):
             DenseOperator(matrix=raising, n=1)
+        # a NaN entry makes the defect NaN, which no tolerance comparison passes
+        with pytest.raises(ValueError, match="operator is not Hermitian: defect nan"):
+            DenseOperator(matrix=np.array([[0.0, np.nan], [1.0, 0.0]], dtype=complex), n=1)
