@@ -30,6 +30,7 @@ from .ensemble import (
     eps_tag,
     pooled_gap_ratios,
     realization_outputs,
+    record_health,
     run_ensemble,
     write_classical_table,
     write_csv,
@@ -62,9 +63,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _epsilon_list(raw: str) -> list[float]:
+    """The --epsilon flag's comma-separated values."""
+    try:
+        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {raw!r}")
+
+
 _FLAGS = {
     "n": dict(type=int, help="number of sites"),
-    "epsilon": dict(type=str, help="rotation error(s), comma separated"),
+    "epsilon": dict(type=_epsilon_list, help="rotation error(s), comma separated"),
     "t1": dict(type=float, help="pulse duration T1"),
     "t2": dict(type=float, help="interaction duration T2"),
     "j0": dict(type=float, help="interaction scale J0"),
@@ -121,27 +130,27 @@ def _resolve_flags(args: argparse.Namespace, config: dict) -> None:
         raise CliError(f"out_dir must be a string, got {args.out_dir!r}")
 
 
-def _epsilons(args, single: bool = False) -> tuple[float, ...]:
-    """The --epsilon values: a comma-separated flag or a config number or list."""
+def _epsilons(args) -> tuple[float, ...]:
+    """The --epsilon values, the flag's list or a config number or list, checked."""
     raw = args.epsilon
     if raw is None:
         raise CliError("--epsilon is required")
-    if isinstance(raw, str):
-        try:
-            values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
-        except ValueError:
-            raise CliError(f"cannot parse --epsilon value {raw!r}")
-    else:
-        values = raw if isinstance(raw, list) else [raw]
-        for value in values:
-            check_setting("epsilon", value, Real)
+    values = raw if isinstance(raw, list) else [raw]
+    for value in values:
+        check_setting("epsilon", value, Real)
     if not values:
         raise CliError("--epsilon list is empty")
     if any(v < 0 for v in values):
         raise CliError("epsilon values must be >= 0")
-    if single and len(values) != 1:
-        raise CliError("this subcommand takes a single --epsilon value")
     return tuple(values)
+
+
+def _epsilon(args) -> float:
+    """The one --epsilon value of a subcommand that takes a single value."""
+    values = _epsilons(args)
+    if len(values) != 1:
+        raise CliError("this subcommand takes a single --epsilon value")
+    return values[0]
 
 
 def _chain_given(args) -> dict:
@@ -150,9 +159,10 @@ def _chain_given(args) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
-def _params_from(args) -> SpinChainParams:
+def _params_from(args, single: bool = False) -> SpinChainParams:
     """Chain parameters, checked against the dense-matrix limit before any handler allocates.
 
+    With single, the chain is at the subcommand's one --epsilon value.
     Every subcommand that builds a chain reads them here, except ensemble,
     whose run_ensemble makes the same check_size call.
     """
@@ -160,32 +170,43 @@ def _params_from(args) -> SpinChainParams:
         raise CliError("--n is required")
     params = SpinChainParams(**_chain_given(args))
     check_size(params.n)
-    return params
+    return replace(params, epsilon=_epsilon(args)) if single else params
 
 
-def _out_dir(args) -> Path:
-    """The output directory, created; handlers call it once their inputs are validated."""
+def _report(payload: dict) -> None:
+    """Print a payload's warning records and notes on stderr, one line per warning and per note."""
+    for record in payload["warnings"]:
+        for warning in record["warnings"]:
+            print(f"warning: eps={record['epsilon']:g} realization {record['realization']}: {warning}",
+                  file=sys.stderr)
+    for note in payload["notes"]:
+        print(f"warning: {note}", file=sys.stderr)
+
+
+def _outputs(args, task: str = "", params=None, epsilons=()) -> tuple[Path, list[dict]]:
+    """The output directory, created, and for a task each realization's payload, reported.
+
+    A task runs over realizations 0..realizations-1 of --seed; its spec is
+    checked (ValueError on bad settings) before the directory is created.
+    Handlers call this once their other inputs are validated.
+    """
+    spec = EnsembleSpec(
+        params=params, epsilons=epsilons, seed=args.seed, tasks=frozenset({task}),
+        # walk declares neither: it runs realization 0 up to its horizon
+        realizations=getattr(args, "realizations", 1), periods=getattr(args, "periods", DEFAULT_PERIODS),
+    ) if task else None
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _report_health(spectrum, tag: str) -> None:
-    """Print a spectrum's branch-cut warnings and Schur fallbacks on stderr, one line each."""
-    prefix = "" if tag == "T" else f"{tag}: "
-    for warning in spectrum.branch_warnings:
-        print(f"warning: {prefix}{warning}", file=sys.stderr)
-    if spectrum.schur_fallbacks:
-        print(f"warning: {spectrum.schur_fallbacks} spectrum blocks at {tag} solved by Schur fallback",
-              file=sys.stderr)
+    payloads = [realization_outputs(spec, r) for r in range(spec.realizations)] if task else []
+    for payload in payloads:
+        _report(payload)
+    return out, payloads
 
 
 def _cmd_simulate(args, config: dict) -> int:
-    params = _params_from(args)
-    (eps,) = _epsilons(args, single=True)
-    params = replace(params, epsilon=eps)
+    params = _params_from(args, single=True)
     disorder = sample_disorder(params, args.seed, 0)
-    out = _out_dir(args)
+    out, _ = _outputs(args)
 
     U = drive_unitary(params, disorder)
     spectrum = floquet_spectrum(U)
@@ -200,26 +221,28 @@ def _cmd_simulate(args, config: dict) -> int:
     np.save(out / "heff_2T_bch.npy", bch.matrix)
     levels = spectrum.quasienergies
     write_csv(out / "quasienergies.csv", "level,quasienergy", np.arange(levels.size), levels)
-    _report_health(spectrum, "T")
-    _report_health(spectrum_2T, "2T")
+    health = {"warnings": [], "notes": []}
+    record_health(health, spectrum, params.epsilon, 0, "T")
+    record_health(health, spectrum_2T, params.epsilon, 0, "2T")
+    _report(health)
     print(f"wrote U.npy, heff_T.npy, heff_2T.npy, heff_2T_bch.npy, quasienergies.csv in {out}")
     return 0
 
 
 def _cmd_graph(args, config: dict) -> int:
-    params = _params_from(args)
-    (eps,) = _epsilons(args, single=True)
-    params = replace(params, epsilon=eps)
+    params = _params_from(args, single=True)
     disorder = sample_disorder(params, args.seed, 0)
     fmt = args.format
     if fmt not in _FLAGS["format"]["choices"]:
         raise CliError(f"unsupported format {fmt!r}; expected one of {_FLAGS['format']['choices']}")
-    out = _out_dir(args)
+    out, _ = _outputs(args)
 
     spectrum = floquet_spectrum(drive_unitary(params, disorder))
-    _report_health(spectrum, "T")
+    health = {"warnings": [], "notes": []}
+    record_health(health, spectrum, params.epsilon, 0, "T")
+    _report(health)
     graph = percolation_graph(effective_hamiltonian(spectrum))
-    tag = eps_tag(eps)
+    tag = eps_tag(params.epsilon)
     edges = f"edges-eps{tag}.csv" if fmt == "csv" else f"graph-eps{tag}.{fmt}"
     (out / f"nodes-eps{tag}.csv").write_bytes(export_nodes_csv(graph))
     (out / edges).write_bytes(export_graph(graph, "edge-csv" if fmt == "csv" else fmt))
@@ -251,7 +274,7 @@ def _read_degree_column(path: Path) -> np.ndarray:
 
 def _cmd_degree_fit(args, config: dict) -> int:
     degrees = _read_degree_column(Path(args.degree_csv))
-    (eps,) = _epsilons(args, single=True) if args.epsilon is not None else (float("nan"),)
+    eps = float("nan") if args.epsilon is None else _epsilon(args)
     # the n column of the fit row: 0 when not given, else a chain's own n (>= 2)
     n = 0 if args.n is None else SpinChainParams(n=args.n).n
 
@@ -259,7 +282,7 @@ def _cmd_degree_fit(args, config: dict) -> int:
         fit, verdict = degree_fit(degrees)
     except ValueError as exc:
         raise CliError(f"degree fit failed: {exc}")
-    out = _out_dir(args)
+    out, _ = _outputs(args)
     write_degree_fit(out / "degree-fit.csv", eps, n, fit, verdict)
     lam = poisson_fit(degrees)
     write_csv(out / "poisson-fit.csv", "lambda", lam)
@@ -270,34 +293,10 @@ def _cmd_degree_fit(args, config: dict) -> int:
     return 0
 
 
-def _spec(args, params, epsilons, task: str) -> EnsembleSpec:
-    """One task over realizations 0..realizations-1 of --seed; raises ValueError on bad settings."""
-    return EnsembleSpec(
-        params=params, epsilons=epsilons, seed=args.seed, tasks=frozenset({task}),
-        # walk declares neither: it runs realization 0 up to its horizon
-        realizations=getattr(args, "realizations", 1), periods=getattr(args, "periods", DEFAULT_PERIODS),
-    )
-
-
-def _payloads(spec: EnsembleSpec) -> list[dict]:
-    """Each realization's payload; its warning records and notes go to stderr, one line each."""
-    payloads = [realization_outputs(spec, r) for r in range(spec.realizations)]
-    for p in payloads:
-        for record in p["warnings"]:
-            print(f"warning: eps={record['epsilon']:g} realization {record['realization']}: "
-                  f"{'; '.join(record['warnings'])}", file=sys.stderr)
-        for note in p["notes"]:
-            print(f"warning: {note}", file=sys.stderr)
-    return payloads
-
-
 def _cmd_level_stats(args, config: dict) -> int:
     params = _params_from(args)
     epsilons = _epsilons(args)
-    spec = _spec(args, params, epsilons, "levelstats")
-    out = _out_dir(args)
-
-    payloads = _payloads(spec)
+    out, payloads = _outputs(args, "levelstats", params, epsilons)
     for eps in epsilons:
         tag = eps_tag(eps)
         ratios, notes = pooled_gap_ratios(payloads, eps)
@@ -314,10 +313,7 @@ def _cmd_level_stats(args, config: dict) -> int:
 def _cmd_spectrum(args, config: dict) -> int:
     params = _params_from(args)
     epsilons = _epsilons(args)
-    spec = _spec(args, params, epsilons, "spectrum")
-    out = _out_dir(args)
-
-    payloads = _payloads(spec)
+    out, payloads = _outputs(args, "spectrum", params, epsilons)
     # per-epsilon series and spectrum of the all-up configuration in realization 0
     for eps in epsilons:
         tag = eps_tag(eps)
@@ -332,15 +328,10 @@ def _cmd_spectrum(args, config: dict) -> int:
 
 
 def _cmd_walk(args, config: dict) -> int:
-    params = _params_from(args)
-    (eps,) = _epsilons(args, single=True)
-    params = replace(params, epsilon=eps)
+    params = _params_from(args, single=True)
     horizon = walk_horizon_periods(params)  # refuses epsilon = 0
-    spec = _spec(args, params, (eps,), "walk")
-    out = _out_dir(args)
-
-    tag = eps_tag(eps)
-    (payload,) = _payloads(spec)
+    out, (payload,) = _outputs(args, "walk", params, (params.epsilon,))
+    tag = eps_tag(params.epsilon)
     write_walk_tables(out, f"eps{tag}", *payload["walk"][tag])
     print(f"wrote walk-eps{tag}.csv and pr-eps{tag}.csv in {out} (horizon {horizon} periods)")
     return 0
@@ -348,7 +339,7 @@ def _cmd_walk(args, config: dict) -> int:
 
 def _cmd_classical(args, config: dict) -> int:
     params = _params_from(args)
-    out = _out_dir(args)
+    out, _ = _outputs(args)
     write_classical_table(out / "classical.csv", params)
     print(f"wrote classical.csv in {out} ({2**params.n} configurations)")
     return 0

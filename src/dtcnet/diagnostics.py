@@ -18,7 +18,6 @@ from .spin_hilbert import (
 __all__ = [
     "GapRatioSample",
     "PowerSpectrum",
-    "WalkRecord",
     "gap_ratios",
     "reference_pdf",
     "reference_mean",
@@ -63,13 +62,6 @@ class PowerSpectrum:
     def omega(self, k):
         """Angular frequency 2 pi k / (N T) of bin k, or of each bin in an array k."""
         return 2.0 * pi * k / (self.N * self.period)
-
-
-@dataclass(frozen=True, eq=False)
-class WalkRecord:
-    """Configuration populations over stroboscopic time, one row per period."""
-
-    populations: np.ndarray
 
 
 def gap_ratios(quasienergies) -> GapRatioSample:
@@ -215,15 +207,15 @@ def spectral_fidelity(V_ref: PowerSpectrum, V_eps: PowerSpectrum) -> float:
     return float(min(1.0, np.sqrt(max(0.0, float(a @ b)) / (na * nb))))
 
 
-def walk_populations(U: FloquetOperator, initial: Configuration, N: int) -> WalkRecord:
-    """Configuration populations |<i|psi(mT)>|^2 for m = 0..N."""
+def walk_populations(U: FloquetOperator, initial: Configuration, N: int) -> np.ndarray:
+    """Configuration populations |<i|psi(mT)>|^2, one row per period m = 0..N."""
     if N < 0:
         raise ValueError("N must be >= 0")
     populations = np.abs(stroboscopic_evolve(U, initial, N)) ** 2
     row_defect = np.abs(populations.sum(axis=1) - 1.0).max()
     if row_defect > 1e-10:
         raise RuntimeError(f"walk populations not normalized: defect {row_defect:.3e}")
-    return WalkRecord(populations=populations)
+    return populations
 
 
 def participation_ratio(state) -> float:

@@ -119,6 +119,9 @@ class EnsembleSpec:
     @classmethod
     def from_json(cls, payload: dict) -> "EnsembleSpec":
         p = payload.get("params", {})
+        unknown = sorted(set(p) - {"n", *_CHAIN_KEYS}) if isinstance(p, dict) else []
+        if unknown:
+            raise ValueError(f"params keys {unknown} are not chain settings; expected n or {list(_CHAIN_KEYS)}")
         for key in ("epsilons", "tasks"):
             if not isinstance(payload.get(key, []), list):
                 raise ValueError(f"{key} must be a JSON list, got {payload[key]!r}")
@@ -220,6 +223,18 @@ def eps_tag(eps: float) -> str:
     return f"{eps + 0.0:g}".replace(".", "p").replace("-", "m")  # -0.0 + 0.0 is 0.0: tag "0"
 
 
+def record_health(payload: dict, spectrum, eps: float, r: int, tag: str) -> None:
+    """Note a spectrum's Schur fallbacks and record its branch-cut warnings in payload, at tag "T" or "2T"."""
+    if spectrum.schur_fallbacks:
+        payload["notes"].append(
+            f"eps={eps:g} realization {r} {tag}: "
+            f"{spectrum.schur_fallbacks} spectrum blocks solved by Schur fallback"
+        )
+    if spectrum.branch_warnings:
+        warnings = [w if tag == "T" else f"{tag}: {w}" for w in spectrum.branch_warnings]
+        payload["warnings"].append({"epsilon": eps, "realization": r, "warnings": warnings})
+
+
 def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     """Everything disorder realization r contributes to a run.
 
@@ -246,17 +261,6 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     """
     disorder = sample_disorder(spec.params, spec.seed, r)
     payload: dict = {"warnings": [], "notes": []}
-
-    def record_health(spectrum, eps: float, tag: str) -> None:
-        if spectrum.schur_fallbacks:
-            payload["notes"].append(
-                f"eps={eps:g} realization {r} {tag}: "
-                f"{spectrum.schur_fallbacks} spectrum blocks solved by Schur fallback"
-            )
-        if spectrum.branch_warnings:
-            warnings = [w if tag == "T" else f"{tag}: {w}" for w in spectrum.branch_warnings]
-            payload["warnings"].append({"epsilon": eps, "realization": r, "warnings": warnings})
-
     n = spec.params.n
     spectra: dict = {}  # epsilon -> power spectrum of every configuration
 
@@ -270,12 +274,12 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
 
         if "graph" in spec.tasks or "levelstats" in spec.tasks:
             spectrum = floquet_spectrum(U)
-            record_health(spectrum, eps, "T")
+            record_health(payload, spectrum, eps, r, "T")
 
         if "graph" in spec.tasks:
             graph_T = percolation_graph(effective_hamiltonian(spectrum))
             spectrum_2T = two_period_spectrum(U, spectrum)
-            record_health(spectrum_2T, eps, "2T")
+            record_health(payload, spectrum_2T, eps, r, "2T")
             graph_2T = percolation_graph(effective_hamiltonian(spectrum_2T))
             payload.setdefault("graph", {})[key] = (graph_T, graph_2T)
 
@@ -292,8 +296,8 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
                 spectra[eps] = dft_power(magnetization)
                 payload.setdefault("magnetization", {})[key] = magnetization[:, -1]
             if horizon:
-                record = walk_populations(U, Configuration(index=2**n - 1, n=n), horizon)
-                payload.setdefault("walk", {})[key] = (prs, record.populations)
+                populations = walk_populations(U, Configuration(index=2**n - 1, n=n), horizon)
+                payload.setdefault("walk", {})[key] = (prs, populations)
 
     if "spectrum" in spec.tasks:
         ref_V = spectra.get(0.0)

@@ -64,7 +64,7 @@ class TestDispatch:
 
 # each flag's command-line token and the value the parser gives it
 _GIVEN = {
-    "n": ("5", 5), "epsilon": ("0.3", "0.3"), "t1": ("1.5", 1.5), "t2": ("2.5", 2.5), "j0": ("0.5", 0.5),
+    "n": ("5", 5), "epsilon": ("0.3", [0.3]), "t1": ("1.5", 1.5), "t2": ("2.5", 2.5), "j0": ("0.5", 0.5),
     "alpha": ("3.5", 3.5), "disorder-w": ("0.25", 0.25), "seed": ("7", 7), "realizations": ("3", 3),
     "periods": ("9", 9), "out-dir": ("given-dir", "given-dir"), "format": ("dot", "dot"),
 }
@@ -91,7 +91,7 @@ class TestSettingResolution:
         monkeypatch.setitem(cli._SUBCOMMANDS, subcommand, (record, description, flags))
         key = flag.replace("-", "_")
         token, parsed = _GIVEN[flag]
-        from_config = "config-dir" if key == "out_dir" else ["config", key]  # no parser makes a list
+        from_config = "config-dir" if key == "out_dir" else ["config", key]  # no parser makes a list of strings
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: from_config}))
         positional = ["degrees.csv"] if subcommand == "degree-fit" else []
@@ -173,6 +173,8 @@ class TestValidation:
             # a given degree-fit --n follows the chain's rule
             (["degree-fit", "degrees.csv", "--n", "-3"], {}, "n"),
             (["degree-fit", "degrees.csv", "--n", "1"], {}, "n"),
+            # the flag's comma list is parsed; a config string is not
+            (["level-stats", "--n", "3"], {"epsilon": "0.1,0.2"}, "epsilon"),
         ],
     )
     def test_config_value_of_wrong_type_exits_1(self, argv, config, setting, tmp_path, capsys, monkeypatch):
@@ -242,6 +244,17 @@ class TestValidation:
         assert main(["ensemble", "--config", str(cfg), "--out-dir", str(out)]) == 1
         assert "epsilons must be finite" in capsys.readouterr().err
         assert not out.exists()  # rejected before the run directory exists
+
+    def test_ensemble_params_key_not_a_chain_setting_exits_1(self, tmp_path, capsys):
+        # disorder_w is the settings-file name of W; inside params it would be ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**_ENSEMBLE_CONFIG, "params": {"n": 3, "disorder_w": 0.25}}))
+        out = tmp_path / "out"
+        assert main(["ensemble", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: params keys ['disorder_w'] are not chain settings")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSizeLimit:
@@ -425,7 +438,7 @@ class TestGraphCommand:
             ["graph", "--n", "4", "--epsilon", "0.02", "--out-dir", str(tmp_path)]
         ) == 0
         captured = capsys.readouterr()
-        assert captured.err == "warning: 1 spectrum blocks at T solved by Schur fallback\n"
+        assert captured.err == "warning: eps=0.02 realization 0 T: 1 spectrum blocks solved by Schur fallback\n"
         written = "nodes-eps0p02.csv, edges-eps0p02.csv, clusters-eps0p02.csv"
         assert captured.out == f"wrote {written} in {tmp_path}\n"
 
@@ -464,8 +477,8 @@ class TestSimulateCommand:
             ["simulate", "--n", "4", "--epsilon", "0.02", "--out-dir", str(tmp_path)]
         ) == 0
         err = capsys.readouterr().err
-        assert "warning: 1 spectrum blocks at T solved by Schur fallback" in err
-        assert "warning: 1 spectrum blocks at 2T solved by Schur fallback" in err
+        assert "warning: eps=0.02 realization 0 T: 1 spectrum blocks solved by Schur fallback" in err
+        assert "warning: eps=0.02 realization 0 2T: 1 spectrum blocks solved by Schur fallback" in err
 
     def test_2T_branch_warnings_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
         solve = dtcnet.cli.two_period_spectrum
@@ -476,7 +489,18 @@ class TestSimulateCommand:
         assert main(
             ["simulate", "--n", "4", "--epsilon", "0.02", "--out-dir", str(tmp_path)]
         ) == 0
-        assert capsys.readouterr().err == "warning: 2T: phase near the cut\n"
+        assert capsys.readouterr().err == "warning: eps=0.02 realization 0: 2T: phase near the cut\n"
+
+    def test_health_worded_as_the_ensemble_records_it(self, tmp_path, capsys):
+        # uncoupled and unrotated, U = -sigma^x sigma^x: two eigenphases sit on the branch cut
+        argv = ["--n", "2", "--epsilon", "0", "--disorder-w", "0", "--j0", "0"]
+        assert main(["simulate", *argv, "--out-dir", str(tmp_path)]) == 0
+        line = "warning: eps=0 realization 0: eigenphase +3.141592653590 within 1e-10 of the branch cut\n"
+        assert capsys.readouterr().err == 2 * line
+        params = SpinChainParams(n=2, epsilon=0.0, W=0.0, J0=0.0)
+        spec = dtcnet.EnsembleSpec(params, epsilons=(0.0,), realizations=1, seed=0, tasks=frozenset({"graph"}))
+        (record,) = dtcnet.realization_outputs(spec, 0)["warnings"]
+        assert [f"warning: eps=0 realization 0: {w}\n" for w in record["warnings"]] == [line, line]
 
 
 class TestLevelStatsCommand:

@@ -261,14 +261,14 @@ class TestWalkPopulations:
     def test_zero_error_two_site_shuttle(self):
         params = SpinChainParams(n=4, epsilon=0.0)
         U = drive_unitary(params, sample_disorder(params, 241, 0))
-        record = walk_populations(U, Configuration(index=15, n=4), 4)
+        populations = walk_populations(U, Configuration(index=15, n=4), 4)
         for m in range(5):
             target = 15 if m % 2 == 0 else 0
-            assert record.populations[m, target] == pytest.approx(1.0, abs=1e-12)
+            assert populations[m, target] == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_stays_put(self):
-        record = walk_populations(_identity(8), Configuration(index=3, n=3), 5)
-        assert np.all(record.populations[:, 3] == 1.0)
+        populations = walk_populations(_identity(8), Configuration(index=3, n=3), 5)
+        assert np.all(populations[:, 3] == 1.0)
 
     def test_non_unitary_operator_rejected(self):
         doubling = FloquetOperator(matrix=2.0 * np.eye(4, dtype=complex), period=2.0)
@@ -278,14 +278,14 @@ class TestWalkPopulations:
     def test_rows_normalized(self):
         params = SpinChainParams(n=5, epsilon=0.08)
         U = drive_unitary(params, sample_disorder(params, 251, 0))
-        record = walk_populations(U, Configuration(index=7, n=5), 10)
-        assert np.allclose(record.populations.sum(axis=1), 1.0, atol=1e-10)
+        populations = walk_populations(U, Configuration(index=7, n=5), 10)
+        assert np.allclose(populations.sum(axis=1), 1.0, atol=1e-10)
 
     def test_large_error_spreads(self):
         params = SpinChainParams(n=5, epsilon=0.1)
         U = drive_unitary(params, sample_disorder(params, 261, 0))
-        record = walk_populations(U, Configuration(index=31, n=5), 12)
-        assert np.count_nonzero(record.populations[12] > 1e-3) > 4
+        populations = walk_populations(U, Configuration(index=31, n=5), 12)
+        assert np.count_nonzero(populations[12] > 1e-3) > 4
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     @pytest.mark.parametrize("eps", [0.012, 0.1])
@@ -300,8 +300,8 @@ class TestWalkPopulations:
         for _ in range(horizon):
             psi = U.matrix @ psi
             dense.append(np.abs(psi) ** 2)
-        record = walk_populations(U, Configuration(index=2**n - 1, n=n), horizon)
-        assert np.abs(record.populations - np.array(dense)).max() <= 5e-14
+        populations = walk_populations(U, Configuration(index=2**n - 1, n=n), horizon)
+        assert np.abs(populations - np.array(dense)).max() <= 5e-14
 
     def test_negative_period_count_rejected(self):
         with pytest.raises(ValueError, match="N must be >= 0"):

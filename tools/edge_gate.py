@@ -21,9 +21,10 @@ listing:
   compared byte for byte; a graph with a flip is skipped and counted;
 - `dtcnet ensemble` on that config at seeds 0-2: every CSV it writes,
   compared byte for byte;
-- one small run of each other subcommand (CLI_RUNS): its exit code, its
-  stdout and stderr with the output directory replaced by <out>, and
-  every file it writes, compared byte for byte;
+- one small run of each other subcommand, and a simulate run whose
+  spectrum warns (CLI_RUNS): its exit code, its stdout and stderr with
+  the output directory replaced by <out>, and every file it writes,
+  compared byte for byte;
 - the degree-distribution verdicts: ensemble.degree_fit, each side on
   its own graphs, over the pooled degrees of each fixture epsilon (T,
   100 realizations) and of each seed, epsilon and period (T, 2T) of the
@@ -87,6 +88,8 @@ CLI_RUNS = {
     "walk": "walk --n 6 --epsilon 0.1 --seed 4",
     "classical": "classical --n 6",
     "degree-fit": "degree-fit {root}/graph-csv/nodes-eps0p012.csv --n 8 --epsilon 0.012",
+    # uncoupled and unrotated, U = -sigma^x sigma^x: two eigenphases on the branch cut, on stderr
+    "health": "simulate --n 2 --epsilon 0 --disorder-w 0 --j0 0 --seed 0",
 }
 
 
