@@ -131,7 +131,7 @@ def _resolve_flags(args: argparse.Namespace, config: dict) -> None:
 
 
 def _epsilons(args) -> tuple[float, ...]:
-    """The --epsilon values, the flag's list or a config number or list, checked."""
+    """The epsilon values, the flag's list or a config number or list, checked."""
     raw = args.epsilon
     if raw is None:
         raise CliError("--epsilon is required")
@@ -139,17 +139,17 @@ def _epsilons(args) -> tuple[float, ...]:
     for value in values:
         check_setting("epsilon", value, Real)
     if not values:
-        raise CliError("--epsilon list is empty")
+        raise CliError("epsilon list is empty")
     if any(v < 0 for v in values):
         raise CliError("epsilon values must be >= 0")
     return tuple(values)
 
 
 def _epsilon(args) -> float:
-    """The one --epsilon value of a subcommand that takes a single value."""
+    """The one epsilon value of a subcommand that takes a single value."""
     values = _epsilons(args)
     if len(values) != 1:
-        raise CliError("this subcommand takes a single --epsilon value")
+        raise CliError("this subcommand takes a single epsilon value")
     return values[0]
 
 

@@ -100,7 +100,15 @@ class FloquetOperator:
 
 @dataclass(frozen=True, eq=False)
 class FloquetSpectrum:
-    """Quasienergies (ascending) with matching eigenvector columns.
+    """Quasienergies (ascending) with their eigenvalues and eigenbasis.
+
+    basis holds the eigenvector columns as the solver returned them, and
+    order[s] is the column of level s. On the real path basis is the
+    real orthogonal O of the symmetrized frame and half_angle is the
+    half pulse angle theta/2: U's eigenvectors are S^H O, with
+    S = exp(-i half_angle sigma^x)^(x n). Schur-solved spectra keep
+    their complex eigenvectors and have no half_angle. states forms U's
+    eigenvectors in level order on each read.
 
     branch_warnings lists eigenphases that sit within BRANCH_MARGIN of
     the +-pi cut, where the fold direction is not numerically robust.
@@ -110,19 +118,28 @@ class FloquetSpectrum:
     gram_defect (max |Z^H Z - 1|) are the largest over the blocks, from
     whichever solver produced each block's eigenpairs. A
     two_period_spectrum that reuses U's eigenpairs (U^2 one block)
-    carries U's three values. The real solve reads
-    both on its real basis O in the symmetrized frame; the returned
-    vectors S^H O match them up to the roundoff of the unitary S.
+    shares U's basis and carries U's three values. The real solve reads
+    both on O; S^H O matches them up to the roundoff of the unitary S.
     """
 
     quasienergies: np.ndarray
-    states: np.ndarray
+    basis: np.ndarray
+    order: np.ndarray
     eigenvalues: np.ndarray
     period: float
+    half_angle: float | None = None
     branch_warnings: tuple[str, ...] = ()
     schur_fallbacks: int = 0
     residual: float = 0.0
     gram_defect: float = 0.0
+
+    @property
+    def states(self) -> np.ndarray:
+        """U's eigenvectors, column s for quasienergy s: basis in level order, or S^H O."""
+        states = self.basis[:, self.order]
+        if self.half_angle is None:
+            return states
+        return _kron_apply(_x_rotation(self.half_angle).conj(), states)
 
 
 class _Eigensystem(NamedTuple):
@@ -133,6 +150,7 @@ class _Eigensystem(NamedTuple):
     fallback: bool
     residual: float
     gram_defect: float
+    half_angle: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,21 +297,23 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
     n_comp, labels = _support_components(U)
     if n_comp == 1 and op.theta is not None:
         solved = [_symmetrized_eigensystem(op)]
-        eigenvalues, states = solved[0].values, solved[0].vectors
+        eigenvalues, basis = solved[0].values, solved[0].vectors
     else:
         eigenvalues = np.zeros(dim, dtype=complex)
-        states = np.zeros((dim, dim), dtype=complex)
+        basis = np.zeros((dim, dim), dtype=complex)
         solved, col = [], 0
         for comp in range(n_comp):
             idx = np.flatnonzero(labels == comp)
             block = _schur_eigensystem(U[np.ix_(idx, idx)])
             eigenvalues[col : col + idx.size] = block.values
-            states[idx, col : col + idx.size] = block.vectors
+            basis[idx, col : col + idx.size] = block.vectors
             solved.append(block)
             col += idx.size
     fallbacks = sum(b.fallback for b in solved)
     residual, gram_defect = max(b.residual for b in solved), max(b.gram_defect for b in solved)
-    return _sorted_spectrum(eigenvalues, states, op.period, fallbacks, residual, gram_defect)
+    return _sorted_spectrum(
+        eigenvalues, basis, np.arange(dim), solved[0].half_angle, op.period, fallbacks, residual, gram_defect
+    )
 
 
 def two_period_spectrum(op: FloquetOperator, spectrum: FloquetSpectrum) -> FloquetSpectrum:
@@ -301,18 +321,22 @@ def two_period_spectrum(op: FloquetOperator, spectrum: FloquetSpectrum) -> Floqu
 
     U's eigenvectors diagonalize U^2 with eigenvalues mu^2, so they are
     reused, and nothing is solved, when the support of U^2 is one block:
+    the spectrum shares U's basis (on the real path O, which the same S
+    symmetrizes for U^2) and its half pulse angle.
     U^2 then has no exact zeros to keep, and U, whose blocks U^2 can
     only refine, is one block too. Otherwise (at epsilon = 0 U^2 is
     diagonal while U has dimer blocks) U^2 is solved on its own blocks.
     spectrum must be floquet_spectrum(op).
     """
-    if spectrum.states.shape[0] != op.dim or spectrum.period != op.period:
+    if spectrum.basis.shape[0] != op.dim or spectrum.period != op.period:
         raise ValueError("spectrum does not belong to this propagator")
     squared = squared_floquet(op)
     if _support_components(squared.matrix)[0] != 1:
         return floquet_spectrum(squared)
     health = (spectrum.schur_fallbacks, spectrum.residual, spectrum.gram_defect)
-    return _sorted_spectrum(spectrum.eigenvalues**2, spectrum.states, squared.period, *health)
+    return _sorted_spectrum(
+        spectrum.eigenvalues**2, spectrum.basis, spectrum.order, spectrum.half_angle, squared.period, *health
+    )
 
 
 def _support_components(U: np.ndarray) -> tuple[int, np.ndarray]:
@@ -332,13 +356,14 @@ def _support_components(U: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _sorted_spectrum(
-    eigenvalues: np.ndarray, states: np.ndarray, period: float,
-    fallbacks: int, residual: float, gram_defect: float,
+    eigenvalues: np.ndarray, basis: np.ndarray, columns: np.ndarray, half_angle: float | None,
+    period: float, fallbacks: int, residual: float, gram_defect: float,
 ) -> FloquetSpectrum:
     """Quasienergies -arg(mu)/period, folded, flagged near the cut and sorted.
 
-    The columns of states are reordered into a new array; the caller's
-    array is left as it is.
+    columns[s] is the basis column of eigenvalues[s]. The basis is
+    stored as it is, not reordered: the spectrum's order maps each
+    sorted level to its column.
     """
     cut = np.pi / period
     lam = -np.angle(eigenvalues) / period
@@ -352,13 +377,13 @@ def _sorted_spectrum(
     )
 
     order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    states = states[:, order]
     return FloquetSpectrum(
-        quasienergies=lam,
-        states=states,
+        quasienergies=lam[order],
+        basis=basis,
+        order=columns[order],
         eigenvalues=eigenvalues[order],
         period=period,
+        half_angle=half_angle,
         branch_warnings=warnings,
         schur_fallbacks=fallbacks,
         residual=residual,
@@ -397,14 +422,16 @@ def _symmetrized_eigensystem(op: FloquetOperator) -> _Eigensystem:
     tan((arg mu - phi)/2), which is monotone in the eigenphase, so no two
     eigenphases fold together (Higham, Functions of Matrices, SIAM 2008).
     One Cholesky solve and one real eigh of K give O; mu = diag(O^T U_s O)
-    is read off, and U's eigenvectors are V = S^H O. S enters only
-    through factored products. Both gates read the real O: U_s's
-    residual (RESIDUAL_TOL), which is U's up to the roundoff of two
-    unitary products, and O's Gram defect (ORTHONORMALITY_TOL), which is
-    V's up to the roundoff of S. If either fails, or I + C is not
-    positive definite (an eigenphase at the pole phi + pi, or an S that
-    does not symmetrize U), U is solved by _schur_eigensystem instead,
-    marked as a fallback; V is formed only for a basis that passed.
+    is read off, and U's eigenvectors are V = S^H O. O itself is
+    returned, with the half angle theta/2: no complex V is formed here
+    (FloquetSpectrum.states forms it on read). S enters only through
+    factored products. Both gates read the real O: U_s's residual
+    (RESIDUAL_TOL), which is U's up to the roundoff of two unitary
+    products, and O's Gram defect (ORTHONORMALITY_TOL), which is V's up
+    to the roundoff of S. If either fails, or I + C is not positive
+    definite (an eigenphase at the pole phi + pi, or an S that does not
+    symmetrize U), U is solved by _schur_eigensystem instead, marked as
+    a fallback, with complex vectors and no half angle.
     """
     S = _x_rotation(0.5 * op.theta)
     # U_s = (S U) S^H, S^H = (conj(S)^(x n))^T acting on the rows of S U;
@@ -445,9 +472,7 @@ def _symmetrized_eigensystem(op: FloquetOperator) -> _Eigensystem:
     gram_defect = _gram_defect(O)
     if residual > RESIDUAL_TOL or gram_defect > ORTHONORMALITY_TOL:
         return _schur_eigensystem(op.matrix)._replace(fallback=True)
-    # row-major, so S^H O reshapes without a copy
-    V = _kron_apply(S.conj(), O.astype(complex, order="C"))
-    return _Eigensystem(mu, V, False, residual, gram_defect)
+    return _Eigensystem(mu, O, False, residual, gram_defect, 0.5 * op.theta)
 
 
 def _gram_defect(Z: np.ndarray) -> float:
@@ -458,9 +483,23 @@ def _gram_defect(Z: np.ndarray) -> float:
 
 
 def effective_hamiltonian(spectrum: FloquetSpectrum) -> EffectiveHamiltonian:
-    """Spectral synthesis H = sum_s lambda_s |Phi_s><Phi_s|."""
-    V = spectrum.states
-    matrix = (V * spectrum.quasienergies) @ V.conj().T
+    """Spectral synthesis H = sum_s lambda_s |Phi_s><Phi_s| in the spectrum's basis.
+
+    G = (basis lambda) basis^H, columns in level order. On the real path
+    G = O lambda O^T is one real product and H = S^H G S two factored
+    ones, so U's complex eigenvectors S^H O are not formed. A Schur-solved
+    spectrum's G is H; its blocks' vectors have disjoint support, so the
+    couplings across blocks are exact zeros.
+    """
+    basis = spectrum.basis[:, spectrum.order]
+    matrix = (basis * spectrum.quasienergies) @ basis.conj().T
+    del basis
+    if spectrum.half_angle is not None:
+        S = _x_rotation(spectrum.half_angle)
+        # S^H = conj(S)^(x n) acts on the columns, S = S^T on the rows; one
+        # product at a time, so G is dropped before the second (peak memory)
+        matrix = _kron_apply(S.conj(), matrix)
+        matrix = _kron_apply(S, matrix, rows=True)
     return EffectiveHamiltonian(matrix=matrix, period=spectrum.period)
 
 

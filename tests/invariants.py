@@ -186,9 +186,10 @@ def check_zero_error_pairing():
         params = SpinChainParams(n=n, epsilon=0.0)
         spectrum = floquet_spectrum(drive_unitary(params, sample_disorder(params, 17, 0)))
         period = spectrum.period
+        states = spectrum.states
         blocks: dict[int, list[float]] = {}
         for s in range(2**n):
-            home = int(np.argmax(np.abs(spectrum.states[:, s])))
+            home = int(np.argmax(np.abs(states[:, s])))
             key = min(home, 2**n - 1 - home)
             blocks.setdefault(key, []).append(float(spectrum.quasienergies[s]))
         for key, lams in blocks.items():

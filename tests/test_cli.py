@@ -188,6 +188,21 @@ class TestValidation:
         assert err.count("\n") == 1
         assert not Path("out").exists()
 
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["level-stats", "--n", "3"], {"epsilon": []}, "epsilon list is empty"),
+            (["graph", "--n", "3"], {"epsilon": [0.1, 0.2]}, "this subcommand takes a single epsilon value"),
+        ],
+    )
+    def test_config_epsilon_refused_without_naming_the_flag(self, argv, config, message, tmp_path, capsys, monkeypatch):
+        # the value came from --config, so the message names the setting, not the flag
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(config))
+        assert main(argv + ["--config", "cfg.json", "--out-dir", "out"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not Path("out").exists()
+
     def test_config_out_dir_not_a_string_exits_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         Path("cfg.json").write_text(json.dumps({"n": 3, "out_dir": 5}))

@@ -1,10 +1,12 @@
 """The edge gate's verdict (tools/edge_gate.py), on synthetic reports."""
 
 import importlib.util
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
 import pytest
 
 import dtcnet
@@ -82,6 +84,29 @@ def test_differing_cli_output_fails():
     cli = _csvs(files=29, differing=("walk: stderr differs", "simulate: U.npy differs"))
     assert edge_gate.failures(_report(cli=cli)) == [
         "cli_outputs: walk: stderr differs", "cli_outputs: simulate: U.npy differs"
+    ]
+
+
+def _npy(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def test_differing_npy_quantified():
+    # the report says how an array differs; the verdict is the same as for any file
+    H = np.array([[0.5, 0.25j], [-0.25j, -0.5]])
+    moved = H + np.array([[0.0, 3e-15], [3e-15, 0.0]])
+    old = {"heff_T.npy": _npy(H), "U.npy": _npy(H), "quasienergies.npy": _npy(H.real)}
+    new = {"heff_T.npy": _npy(moved), "U.npy": _npy(H), "quasienergies.npy": _npy(H.real[0])}
+    part = {"files": 0, "identical": 0, "differing": []}
+    edge_gate.compare_files("simulate", new, old, part)
+    assert part == {"files": 3, "identical": 1, "differing": [
+        "simulate: heff_T.npy differs (same shape and dtype, max |diff| 3.000e-15)",
+        "simulate: quasienergies.npy differs (shape (2, 2) -> (2,), dtype float64 -> float64)",
+    ]}
+    assert edge_gate.failures({**_report(), "cli_outputs": part}) == [
+        f"cli_outputs: {line}" for line in part["differing"]
     ]
 
 

@@ -187,9 +187,10 @@ class TestFloquetSpectrum:
         U = drive_unitary(params, sample_disorder(params, 71, 0))
         spectrum = floquet_spectrum(U)
         phases = np.exp(-1j * spectrum.quasienergies * spectrum.period)
-        residual = U.matrix @ spectrum.states - spectrum.states * phases
+        V = spectrum.states
+        residual = U.matrix @ V - V * phases
         assert np.abs(np.linalg.norm(residual, axis=0)).max() < 1e-8
-        gram = spectrum.states.conj().T @ spectrum.states
+        gram = V.conj().T @ V
         assert np.abs(gram - np.eye(64)).max() < 1e-8
 
     def test_zero_error_pair_splitting(self):
@@ -231,9 +232,9 @@ def _schur_reference(op: FloquetOperator) -> FloquetSpectrum:
     lam = -np.angle(eigenvalues) / op.period
     lam = np.where(lam <= -cut, lam + 2.0 * cut, lam)
     order = np.argsort(lam, kind="stable")
-    lam, states = lam[order], states[:, order]
     return FloquetSpectrum(
-        quasienergies=lam, states=states, eigenvalues=eigenvalues[order], period=op.period
+        quasienergies=lam[order], basis=states, order=order, eigenvalues=eigenvalues[order],
+        period=op.period,
     )
 
 
@@ -316,9 +317,12 @@ class TestBlockEigensolver:
         spectrum = floquet_spectrum(op)
         reference = _schur_reference(op)
         assert spectrum.schur_fallbacks == 1
+        assert spectrum.half_angle is None
         assert np.array_equal(spectrum.quasienergies, reference.quasienergies)
         assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
         assert np.array_equal(spectrum.states, reference.states)
+        H = effective_hamiltonian(spectrum).matrix
+        assert np.array_equal(H, effective_hamiltonian(reference).matrix)
 
     def test_gram_gate_alone_falls_back_to_schur(self, monkeypatch):
         # column 0 of the eigh basis scaled by 1 + 1e-11: its residual
@@ -340,9 +344,12 @@ class TestBlockEigensolver:
         spectrum = floquet_spectrum(op)
         reference = _schur_reference(op)
         assert spectrum.schur_fallbacks == 1
+        assert spectrum.half_angle is None
         assert np.array_equal(spectrum.quasienergies, reference.quasienergies)
         assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
         assert np.array_equal(spectrum.states, reference.states)
+        H = effective_hamiltonian(spectrum).matrix
+        assert np.array_equal(H, effective_hamiltonian(reference).matrix)
 
 
 def _symmetric_unitary(phases: np.ndarray, seed: int) -> FloquetOperator:
@@ -620,10 +627,11 @@ class TestEffectiveHamiltonian:
     def test_zero_error_active_pair_is_ghz(self):
         params = SpinChainParams(n=8, epsilon=0.0)
         spectrum = floquet_spectrum(drive_unitary(params, sample_disorder(params, 91, 0)))
-        weight = np.abs(spectrum.states[0, :]) ** 2
+        V = spectrum.states
+        weight = np.abs(V[0, :]) ** 2
         pair = np.argsort(weight)[-2:]
         for s in pair:
-            state = spectrum.states[:, s]
+            state = V[:, s]
             assert abs(abs(state[0]) - 1.0 / np.sqrt(2.0)) < 1e-8
             assert abs(abs(state[255]) - 1.0 / np.sqrt(2.0)) < 1e-8
 
@@ -645,6 +653,61 @@ class TestEffectiveHamiltonian:
         H = effective_hamiltonian(floquet_spectrum(_identity_floquet(4)))
         with pytest.raises(ValueError, match="coupling is defined for i != j"):
             H.coupling(1, 1)
+
+
+def _complex_synthesis(spectrum: FloquetSpectrum) -> np.ndarray:
+    """H = (V lambda) V^H from U's complex eigenvectors V = spectrum.states."""
+    V = spectrum.states
+    return (V * spectrum.quasienergies) @ V.conj().T
+
+
+class TestRealBasisSynthesis:
+    """H = S^H (O lambda O^T) S on the real path, against the complex synthesis from S^H O."""
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    @pytest.mark.parametrize("eps", [0.012, 0.1])
+    @pytest.mark.parametrize("route", ["T", "2T reused", "U^2 solved"])
+    def test_matches_complex_synthesis(self, n, eps, route):
+        params = SpinChainParams(n=n, epsilon=eps)
+        op = drive_unitary(params, sample_disorder(params, 1234, 1))
+        spectrum = floquet_spectrum(op)
+        if route == "2T reused":
+            spectrum = two_period_spectrum(op, spectrum)
+        elif route == "U^2 solved":
+            spectrum = floquet_spectrum(squared_floquet(op))
+        assert spectrum.half_angle == 0.5 * op.theta
+        H = effective_hamiltonian(spectrum)
+        reference = _complex_synthesis(spectrum)
+        assert np.abs(H.matrix - reference).max() < 1e-13
+        assert np.abs(H.matrix - H.matrix.conj().T).max() < 1e-14
+        assert percolation_graph(H).edges == percolation_graph(
+            floquet_core.EffectiveHamiltonian(matrix=reference, period=spectrum.period)
+        ).edges
+
+    def test_two_period_spectrum_shares_the_real_basis(self):
+        params = SpinChainParams(n=6, epsilon=0.012)
+        op = drive_unitary(params, sample_disorder(params, 3, 0))
+        spectrum = floquet_spectrum(op)
+        assert spectrum.basis.dtype == np.float64
+        doubled = two_period_spectrum(op, spectrum)
+        assert doubled.basis is spectrum.basis
+        assert doubled.half_angle == spectrum.half_angle == 0.5 * op.theta
+        assert not np.array_equal(doubled.order, spectrum.order)  # levels re-sorted, columns kept
+
+    def test_t_pipeline_never_forms_the_complex_eigenvectors(self, monkeypatch):
+        # floquet_spectrum -> effective_hamiltonian -> percolation_graph
+        # reads no spectrum.states, the only place S^H O is formed
+        params = SpinChainParams(n=6, epsilon=0.012)
+        op = drive_unitary(params, sample_disorder(params, 5, 0))
+        expected = percolation_graph(effective_hamiltonian(floquet_spectrum(op))).edges
+
+        def unread(spectrum):
+            raise AssertionError("FloquetSpectrum.states was read")
+
+        monkeypatch.setattr(FloquetSpectrum, "states", property(unread))
+        spectrum = floquet_spectrum(op)
+        assert spectrum.basis.dtype == np.float64
+        assert percolation_graph(effective_hamiltonian(spectrum)).edges == expected
 
 
 class TestSquaredFloquet:
@@ -744,12 +807,13 @@ class TestTwoPeriodSpectrum:
         params = SpinChainParams(n=6, epsilon=0.012)
         op = drive_unitary(params, sample_disorder(params, 3, 0))
         spectrum = floquet_spectrum(op)
-        states = spectrum.states.copy()
+        basis, order = spectrum.basis.copy(), spectrum.order.copy()
         solves = _record_solvers(monkeypatch)
         doubled = two_period_spectrum(op, spectrum)
         assert solves == []
         assert doubled.schur_fallbacks == 0
-        assert np.array_equal(spectrum.states, states)  # the input is left as it was
+        # the input is left as it was
+        assert np.array_equal(spectrum.basis, basis) and np.array_equal(spectrum.order, order)
         mu = np.exp(-1j * doubled.quasienergies * doubled.period)
         V = doubled.states
         assert np.abs(squared_floquet(op).matrix @ V - V * mu).max() < 1e-13

@@ -24,7 +24,8 @@ listing:
 - one small run of each other subcommand, and a simulate run whose
   spectrum warns (CLI_RUNS): its exit code, its stdout and stderr with
   the output directory replaced by <out>, and every file it writes,
-  compared byte for byte;
+  compared byte for byte (a differing .npy file is also reported with
+  whether its shape and dtype match and, if they do, max |new - old|);
 - the degree-distribution verdicts: ensemble.degree_fit, each side on
   its own graphs, over the pooled degrees of each fixture epsilon (T,
   100 realizations) and of each seed, epsilon and period (T, 2T) of the
@@ -266,8 +267,19 @@ def compare_files(label: str, new: dict[str, bytes], old: dict[str, bytes], part
         part["files"] += 1
         if new[name] == old[name]:
             part["identical"] += 1
+        elif name.endswith(".npy"):
+            part["differing"].append(f"{label}: {name} differs ({npy_difference(new[name], old[name])})")
         else:
             part["differing"].append(f"{label}: {name} differs")
+
+
+def npy_difference(new: bytes, old: bytes) -> str:
+    """How two .npy files' arrays differ: their shapes and dtypes, or if those match, max |new - old|."""
+    a, b = (np.load(io.BytesIO(data)) for data in (new, old))
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return f"shape {b.shape} -> {a.shape}, dtype {b.dtype} -> {a.dtype}"
+    diff = np.abs(a.astype(complex) - b.astype(complex)).max(initial=0.0)
+    return f"same shape and dtype, max |diff| {diff:.3e}"
 
 
 def csv_gate(pkg, base) -> dict:
