@@ -655,12 +655,6 @@ class TestEffectiveHamiltonian:
             H.coupling(1, 1)
 
 
-def _complex_synthesis(spectrum: FloquetSpectrum) -> np.ndarray:
-    """H = (V lambda) V^H from U's complex eigenvectors V = spectrum.states."""
-    V = spectrum.states
-    return (V * spectrum.quasienergies) @ V.conj().T
-
-
 class TestRealBasisSynthesis:
     """H = S^H (O lambda O^T) S on the real path, against the complex synthesis from S^H O."""
 
@@ -677,7 +671,8 @@ class TestRealBasisSynthesis:
             spectrum = floquet_spectrum(squared_floquet(op))
         assert spectrum.half_angle == 0.5 * op.theta
         H = effective_hamiltonian(spectrum)
-        reference = _complex_synthesis(spectrum)
+        V = spectrum.states
+        reference = (V * spectrum.quasienergies) @ V.conj().T
         assert np.abs(H.matrix - reference).max() < 1e-13
         assert np.abs(H.matrix - H.matrix.conj().T).max() < 1e-14
         assert percolation_graph(H).edges == percolation_graph(
