@@ -25,12 +25,12 @@ from .diagnostics import power_spectrum, walk_horizon_periods
 from .ensemble import (
     DEFAULT_PERIODS,
     EnsembleSpec,
+    Stages,
     check_size,
     degree_fit,
     eps_tag,
     pooled_gap_ratios,
     realization_outputs,
-    record_health,
     run_ensemble,
     write_classical_table,
     write_csv,
@@ -39,15 +39,9 @@ from .ensemble import (
     write_gap_ratio_table,
     write_walk_tables,
 )
-from .floquet_core import (
-    bch_effective_2T,
-    effective_hamiltonian,
-    drive_unitary,
-    floquet_spectrum,
-    two_period_spectrum,
-)
+from .floquet_core import bch_effective_2T, effective_hamiltonian
 from .netfit import poisson_fit
-from .percolation_graph import clusters, export_graph, export_nodes_csv, percolation_graph
+from .percolation_graph import clusters, export_graph, export_nodes_csv
 from .spin_hilbert import SpinChainParams, check_setting, sample_disorder
 
 __all__ = ["main"]
@@ -205,43 +199,30 @@ def _outputs(args, task: str = "", params=None, epsilons=()) -> tuple[Path, list
 
 def _cmd_simulate(args, config: dict) -> int:
     params = _params_from(args, single=True)
-    disorder = sample_disorder(params, args.seed, 0)
+    stages = Stages(params, sample_disorder(params, args.seed, 0))
     out, _ = _outputs(args)
 
-    U = drive_unitary(params, disorder)
-    spectrum = floquet_spectrum(U)
-    heff_T = effective_hamiltonian(spectrum)
-    spectrum_2T = two_period_spectrum(U, spectrum)
-    heff_2T = effective_hamiltonian(spectrum_2T)
-    bch = bch_effective_2T(params, disorder)
-
-    np.save(out / "U.npy", U.matrix)
-    np.save(out / "heff_T.npy", heff_T.matrix)
-    np.save(out / "heff_2T.npy", heff_2T.matrix)
-    np.save(out / "heff_2T_bch.npy", bch.matrix)
-    levels = spectrum.quasienergies
+    np.save(out / "U.npy", stages.U.matrix)
+    np.save(out / "heff_T.npy", effective_hamiltonian(stages.spectrum).matrix)
+    np.save(out / "heff_2T.npy", effective_hamiltonian(stages.spectrum_2T).matrix)
+    np.save(out / "heff_2T_bch.npy", bch_effective_2T(params, stages.disorder).matrix)
+    levels = stages.spectrum.quasienergies
     write_csv(out / "quasienergies.csv", "level,quasienergy", np.arange(levels.size), levels)
-    health = {"warnings": [], "notes": []}
-    record_health(health, spectrum, params.epsilon, 0, "T")
-    record_health(health, spectrum_2T, params.epsilon, 0, "2T")
-    _report(health)
+    _report(stages.health)
     print(f"wrote U.npy, heff_T.npy, heff_2T.npy, heff_2T_bch.npy, quasienergies.csv in {out}")
     return 0
 
 
 def _cmd_graph(args, config: dict) -> int:
     params = _params_from(args, single=True)
-    disorder = sample_disorder(params, args.seed, 0)
+    stages = Stages(params, sample_disorder(params, args.seed, 0))
     fmt = args.format
     if fmt not in _FLAGS["format"]["choices"]:
         raise CliError(f"unsupported format {fmt!r}; expected one of {_FLAGS['format']['choices']}")
     out, _ = _outputs(args)
 
-    spectrum = floquet_spectrum(drive_unitary(params, disorder))
-    health = {"warnings": [], "notes": []}
-    record_health(health, spectrum, params.epsilon, 0, "T")
-    _report(health)
-    graph = percolation_graph(effective_hamiltonian(spectrum))
+    graph = stages.graph(stages.spectrum)
+    _report(stages.health)
     tag = eps_tag(params.epsilon)
     edges = f"edges-eps{tag}.csv" if fmt == "csv" else f"graph-eps{tag}.{fmt}"
     (out / f"nodes-eps{tag}.csv").write_bytes(export_nodes_csv(graph))

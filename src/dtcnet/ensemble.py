@@ -16,6 +16,7 @@ from itertools import count
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
+from functools import cached_property
 from math import isfinite, pi
 from numbers import Integral, Real
 from pathlib import Path
@@ -40,6 +41,7 @@ from .spin_hilbert import Configuration, SpinChainParams, check_setting, sample_
 __all__ = [
     "EnsembleSpec",
     "RunManifest",
+    "Stages",
     "realization_outputs",
     "run_ensemble",
     "TASKS",
@@ -188,10 +190,10 @@ def check_size(n: int) -> None:
     A dense 2^n x 2^n complex matrix takes 16 * 4^n bytes, and the
     spectrum path holds about 9 of them at its peak (U and U^2, the
     eigensolver's work arrays, the eigenvectors and the effective
-    Hamiltonians; `dtcnet simulate` peaks 136 MB above its import
-    footprint at n = 10, i.e. 8.5 copies of 16 MB). That is about 2.4 GB
-    at n = MAX_SITES = 12 and 9.7 GB at n = 13. Raises ValueError with a
-    one-line message before anything is allocated.
+    Hamiltonians; `dtcnet simulate` peaks 91 MB above its import
+    footprint at n = 10 and 313 MB at n = 11, 5.7 and 4.9 copies). That
+    is about 2.4 GB at n = MAX_SITES = 12 and 9.7 GB at n = 13. Raises
+    ValueError with a one-line message before anything is allocated.
     """
     if n > MAX_SITES:
         # 4.0**n overflows a float from n = 512 on, where the estimate already exceeds 1e300 GB
@@ -223,16 +225,47 @@ def eps_tag(eps: float) -> str:
     return f"{eps + 0.0:g}".replace(".", "p").replace("-", "m")  # -0.0 + 0.0 is 0.0: tag "0"
 
 
-def record_health(payload: dict, spectrum, eps: float, r: int, tag: str) -> None:
-    """Note a spectrum's Schur fallbacks and record its branch-cut warnings in payload, at tag "T" or "2T"."""
-    if spectrum.schur_fallbacks:
-        payload["notes"].append(
-            f"eps={eps:g} realization {r} {tag}: "
-            f"{spectrum.schur_fallbacks} spectrum blocks solved by Schur fallback"
-        )
-    if spectrum.branch_warnings:
-        warnings = [w if tag == "T" else f"{tag}: {w}" for w in spectrum.branch_warnings]
-        payload["warnings"].append({"epsilon": eps, "realization": r, "warnings": warnings})
+class Stages:
+    """The chain of one (epsilon, realization): drive, spectra, effective Hamiltonians, graphs.
+
+    U, spectrum (at T) and spectrum_2T are each computed on first read
+    and only once; spectrum_2T is two_period_spectrum's, from U's solved
+    spectrum. As each spectrum is solved its health goes into health
+    (realization r): a note if blocks fell back to Schur, and a warnings
+    record of its branch-cut warnings, each 2T one prefixed "2T: ".
+    """
+
+    def __init__(self, params: SpinChainParams, disorder, r: int = 0, health: dict | None = None) -> None:
+        self.params, self.disorder, self.r = params, disorder, r
+        self.health = {"warnings": [], "notes": []} if health is None else health
+
+    @cached_property
+    def U(self):
+        return drive_unitary(self.params, self.disorder)
+
+    @cached_property
+    def spectrum(self):
+        return self._recorded(floquet_spectrum(self.U), "T")
+
+    @cached_property
+    def spectrum_2T(self):
+        return self._recorded(two_period_spectrum(self.U, self.spectrum), "2T")
+
+    def graph(self, spectrum):
+        """The percolation graph of spectrum's effective Hamiltonian, which is not kept."""
+        return percolation_graph(effective_hamiltonian(spectrum))
+
+    def _recorded(self, spectrum, tag: str):
+        eps, r = self.params.epsilon, self.r
+        if spectrum.schur_fallbacks:
+            self.health["notes"].append(
+                f"eps={eps:g} realization {r} {tag}: "
+                f"{spectrum.schur_fallbacks} spectrum blocks solved by Schur fallback"
+            )
+        if spectrum.branch_warnings:
+            warnings = [w if tag == "T" else f"{tag}: {w}" for w in spectrum.branch_warnings]
+            self.health["warnings"].append({"epsilon": eps, "realization": r, "warnings": warnings})
+        return spectrum
 
 
 def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
@@ -252,9 +285,9 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     - "walk" (epsilon > 0 only): (participation ratio per configuration,
       walk populations from the all-up configuration).
 
-    Each epsilon builds its propagator once, and only when a requested
-    task reads it; when the spectrum or walk task is on, it propagates
-    the whole basis once (basis_dynamics).
+    Each epsilon reads one Stages, so it builds its propagator once, and
+    only when a requested task reads it; when the spectrum or walk task
+    is on, it propagates the whole basis once (basis_dynamics).
     The epsilon = 0 reference is the sweep's own entry; it is built
     separately only when 0 is not swept. run_ensemble and the
     level-stats, spectrum and walk subcommands all reduce these payloads.
@@ -265,44 +298,35 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     spectra: dict = {}  # epsilon -> power spectrum of every configuration
 
     for eps in spec.epsilons:
-        params = replace(spec.params, epsilon=eps)
+        stages = Stages(replace(spec.params, epsilon=eps), disorder, r, payload)
         key = eps_tag(eps)
-        horizon = walk_horizon_periods(params) if "walk" in spec.tasks and eps > 0.0 else None
+        horizon = walk_horizon_periods(stages.params) if "walk" in spec.tasks and eps > 0.0 else None
         periods = spec.periods if "spectrum" in spec.tasks else 0
-        if horizon or periods or "graph" in spec.tasks or "levelstats" in spec.tasks:  # a stage reads U
-            U = drive_unitary(params, disorder)
-
-        if "graph" in spec.tasks or "levelstats" in spec.tasks:
-            spectrum = floquet_spectrum(U)
-            record_health(payload, spectrum, eps, r, "T")
 
         if "graph" in spec.tasks:
-            graph_T = percolation_graph(effective_hamiltonian(spectrum))
-            spectrum_2T = two_period_spectrum(U, spectrum)
-            record_health(payload, spectrum_2T, eps, r, "2T")
-            graph_2T = percolation_graph(effective_hamiltonian(spectrum_2T))
-            payload.setdefault("graph", {})[key] = (graph_T, graph_2T)
+            graphs = stages.graph(stages.spectrum), stages.graph(stages.spectrum_2T)
+            payload.setdefault("graph", {})[key] = graphs
 
         if "levelstats" in spec.tasks:
-            sample = gap_ratios(spectrum.quasienergies)
+            sample = gap_ratios(stages.spectrum.quasienergies)
             payload.setdefault("levelstats", {})[key] = (sample.ratios, sample.excluded_degenerate)
 
         if "walk" in spec.tasks and eps <= 0.0:
             skipped = "walk task skipped: tunneling horizon diverges at epsilon = 0"
             payload["warnings"].append({"epsilon": eps, "realization": r, "warnings": [skipped]})
         if periods or horizon:
-            magnetization, prs = basis_dynamics(U, periods, horizon)
+            magnetization, prs = basis_dynamics(stages.U, periods, horizon)
             if periods:
                 spectra[eps] = dft_power(magnetization)
                 payload.setdefault("magnetization", {})[key] = magnetization[:, -1]
             if horizon:
-                populations = walk_populations(U, Configuration(index=2**n - 1, n=n), horizon)
+                populations = walk_populations(stages.U, Configuration(index=2**n - 1, n=n), horizon)
                 payload.setdefault("walk", {})[key] = (prs, populations)
 
     if "spectrum" in spec.tasks:
         ref_V = spectra.get(0.0)
         if ref_V is None:
-            U0 = drive_unitary(replace(spec.params, epsilon=0.0), disorder)
+            U0 = Stages(replace(spec.params, epsilon=0.0), disorder).U
             ref_V = dft_power(basis_dynamics(U0, spec.periods)[0])
         ref_norm = np.linalg.norm(ref_V, axis=0)
         for eps, V in spectra.items():

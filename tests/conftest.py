@@ -10,20 +10,10 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 import scipy.linalg
 
-from dtcnet import (
-    SpinChainParams,
-    clusters,
-    effective_hamiltonian,
-    floquet_spectrum,
-    gap_ratios,
-    percolation_graph,
-    sample_disorder,
-)
-from dtcnet.floquet_core import drive_unitary
+from dtcnet import SpinChainParams, Stages, clusters, gap_ratios, sample_disorder
 
 _CRITERION_LINES: list[tuple[int, str]] = []
 
@@ -73,9 +63,9 @@ def sweep_n8():
     for r in range(SWEEP_REALIZATIONS):
         disorder = sample_disorder(base, SWEEP_SEED, r)
         for eps in SWEEP_EPSILONS:
-            params = SpinChainParams(n=SWEEP_N, epsilon=eps)
-            spectrum = floquet_spectrum(drive_unitary(params, disorder))
-            graph = percolation_graph(effective_hamiltonian(spectrum))
+            stages = Stages(SpinChainParams(n=SWEEP_N, epsilon=eps), disorder)
+            spectrum = stages.spectrum
+            graph = stages.graph(spectrum)
             bucket = data[eps]
             bucket["ratios"].append(gap_ratios(spectrum.quasienergies).ratios)
             bucket["degrees"].append(graph.degrees.copy())

@@ -291,8 +291,8 @@ class TestSizeLimit:
         def forbidden(*args, **kwargs):
             raise AssertionError("a dense build was started")
 
+        monkeypatch.setattr(dtcnet.ensemble, "drive_unitary", forbidden)
         for module in (dtcnet.cli, dtcnet.ensemble):
-            monkeypatch.setattr(module, "drive_unitary", forbidden)
             monkeypatch.setattr(module, "write_classical_table", forbidden)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
@@ -311,8 +311,7 @@ class TestSizeLimit:
         def forbidden(*args, **kwargs):
             raise AssertionError("a dense build was started")
 
-        for module in (dtcnet.cli, dtcnet.ensemble):
-            monkeypatch.setattr(module, "drive_unitary", forbidden)
+        monkeypatch.setattr(dtcnet.ensemble, "drive_unitary", forbidden)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
             {"params": {"n": 4}, "epsilons": [0.1, 1e-7], "realizations": 1, "seed": 0, "tasks": ["walk"]}
@@ -339,8 +338,7 @@ class TestSizeLimit:
         def forbidden(*args, **kwargs):
             raise AssertionError("a dense build was started")
 
-        for module in (dtcnet.cli, dtcnet.ensemble):
-            monkeypatch.setattr(module, "drive_unitary", forbidden)
+        monkeypatch.setattr(dtcnet.ensemble, "drive_unitary", forbidden)
         out = tmp_path / "out"
         assert main(argv + ["--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
@@ -496,9 +494,9 @@ class TestSimulateCommand:
         assert "warning: eps=0.02 realization 0 2T: 1 spectrum blocks solved by Schur fallback" in err
 
     def test_2T_branch_warnings_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
-        solve = dtcnet.cli.two_period_spectrum
+        solve = dtcnet.ensemble.two_period_spectrum
         monkeypatch.setattr(
-            dtcnet.cli, "two_period_spectrum",
+            dtcnet.ensemble, "two_period_spectrum",
             lambda U, spectrum: dataclasses.replace(solve(U, spectrum), branch_warnings=("phase near the cut",)),
         )
         assert main(
@@ -516,6 +514,41 @@ class TestSimulateCommand:
         spec = dtcnet.EnsembleSpec(params, epsilons=(0.0,), realizations=1, seed=0, tasks=frozenset({"graph"}))
         (record,) = dtcnet.realization_outputs(spec, 0)["warnings"]
         assert [f"warning: eps=0 realization 0: {w}\n" for w in record["warnings"]] == [line, line]
+
+
+class TestOneSolveRoutePerCaller:
+    """simulate and graph read the ensemble's stages: one build, one T solve, a 2T spectrum only where read."""
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            # the T graph alone: no 2T spectrum
+            (["graph", "--epsilon", "0.012"], {"build": 1, "solve T": 1, "2T": 0, "solve U^2": 0}),
+            # the 2T spectrum reuses U's eigenpairs
+            (["simulate", "--epsilon", "0.012"], {"build": 1, "solve T": 1, "2T": 1, "solve U^2": 0}),
+            # at epsilon = 0, U^2 is diagonal while U has dimer blocks: U^2 is solved afresh
+            (["simulate", "--epsilon", "0"], {"build": 1, "solve T": 1, "2T": 1, "solve U^2": 1}),
+        ],
+    )
+    def test_calls_into_the_stages(self, argv, calls, tmp_path, monkeypatch):
+        counts = dict.fromkeys(calls, 0)
+
+        def count(module, name, key):
+            original = getattr(module, name)
+
+            def counted(*args):
+                counts[key] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(dtcnet.ensemble, "drive_unitary", "build")
+        count(dtcnet.ensemble, "floquet_spectrum", "solve T")
+        count(dtcnet.ensemble, "two_period_spectrum", "2T")
+        # two_period_spectrum's fresh solve looks floquet_spectrum up in floquet_core
+        count(dtcnet.floquet_core, "floquet_spectrum", "solve U^2")
+        assert main([*argv, "--n", "4", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+        assert counts == calls
 
 
 class TestLevelStatsCommand:
@@ -633,8 +666,7 @@ class TestSpectrumCommand:
             builds.append((params.epsilon, tuple(disorder.fields)))
             return original(params, disorder)
 
-        for module in (dtcnet.cli, dtcnet.ensemble):
-            monkeypatch.setattr(module, "drive_unitary", counted)
+        monkeypatch.setattr(dtcnet.ensemble, "drive_unitary", counted)
         assert main(
             ["spectrum", "--n", "4", "--epsilon", "0,0.012", "--periods", "8",
              "--realizations", "2", "--seed", "5", "--out-dir", str(tmp_path)]

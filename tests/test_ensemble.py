@@ -431,6 +431,35 @@ class TestTwoPeriodGraph:
                 assert graph_2T.edges == dtcnet.percolation_graph(fresh).edges
 
 
+class TestStages:
+    """Each stage runs once, on first read; the T reads alone make no 2T solve."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.012])
+    def test_T_reads_solve_no_2T_spectrum(self, monkeypatch, eps):
+        drives = _counted(monkeypatch, "drive_unitary")
+        solves = _counted(monkeypatch, "floquet_spectrum")
+        doubled = _counted(monkeypatch, "two_period_spectrum")
+        params = SpinChainParams(n=4, epsilon=eps)
+        stages = dtcnet.Stages(params, sample_disorder(params, 3, 0))
+        for _ in range(2):
+            stages.graph(stages.spectrum)
+        assert (len(drives), len(solves), len(doubled)) == (1, 1, 0)
+        stages.graph(stages.spectrum_2T)
+        stages.graph(stages.spectrum_2T)
+        assert (len(drives), len(solves), len(doubled)) == (1, 1, 1)
+
+    def test_health_in_solve_order_whichever_spectrum_is_read_first(self, skewed_eigh):
+        params = SpinChainParams(n=4, epsilon=0.02)
+        health = {"warnings": [], "notes": []}
+        stages = dtcnet.Stages(params, sample_disorder(params, 0, 0), r=5, health=health)
+        stages.spectrum_2T
+        stages.spectrum
+        assert stages.health is health
+        assert health == {"warnings": [], "notes": [
+            f"eps=0.02 realization 5 {tag}: 1 spectrum blocks solved by Schur fallback" for tag in ("T", "2T")
+        ]}
+
+
 class TestReproducibility:
     def test_serial_rerun_bit_identical(self):
         check_rerun_reproducibility_serial()
