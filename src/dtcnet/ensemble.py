@@ -36,7 +36,7 @@ from .floquet_core import effective_hamiltonian, drive_unitary, floquet_spectrum
 from .netfit import avg_degree_by_domain_walls, kmin_scan, lognormal_lr_test, log_binned_histogram
 from .percolation_graph import percolation_graph
 from .semiclassical import ClassicalConfiguration, classical_energy, classify_fixed_point, jacobian
-from .spin_hilbert import Configuration, SpinChainParams, check_setting, sample_disorder
+from .spin_hilbert import Configuration, SpinChainParams, check_setting, sample_disorder, spin_z_table
 
 __all__ = [
     "EnsembleSpec",
@@ -288,20 +288,24 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     Each epsilon reads one Stages, so it builds its propagator once, and
     only when a requested task reads it; when the spectrum or walk task
     is on, it propagates the whole basis once (basis_dynamics).
-    The epsilon = 0 reference is the sweep's own entry; it is built
-    separately only when 0 is not swept. run_ensemble and the
-    level-stats, spectrum and walk subcommands all reduce these payloads.
+    The epsilon = 0 reference is the exact flip series: at zero error
+    each pulse is a pi flip, so configuration i reads (-1)^m s_i / n
+    whatever the disorder. run_ensemble and the level-stats, spectrum
+    and walk subcommands all reduce these payloads.
     """
     disorder = sample_disorder(spec.params, spec.seed, r)
     payload: dict = {"warnings": [], "notes": []}
     n = spec.params.n
-    spectra: dict = {}  # epsilon -> power spectrum of every configuration
+    periods = spec.periods if "spectrum" in spec.tasks else 0
+    if periods:
+        flips = (-1.0) ** np.arange(periods + 1)
+        ref_V = dft_power(np.outer(flips, spin_z_table(n).sum(axis=1) / n))
+        ref_norm = np.linalg.norm(ref_V, axis=0)
 
     for eps in spec.epsilons:
         stages = Stages(replace(spec.params, epsilon=eps), disorder, r, payload)
         key = eps_tag(eps)
         horizon = walk_horizon_periods(stages.params) if "walk" in spec.tasks and eps > 0.0 else None
-        periods = spec.periods if "spectrum" in spec.tasks else 0
 
         if "graph" in spec.tasks:
             graphs = stages.graph(stages.spectrum), stages.graph(stages.spectrum_2T)
@@ -317,24 +321,16 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
         if periods or horizon:
             magnetization, prs = basis_dynamics(stages.U, periods, horizon)
             if periods:
-                spectra[eps] = dft_power(magnetization)
-                payload.setdefault("magnetization", {})[key] = magnetization[:, -1]
+                V = dft_power(magnetization)
+                norm = np.linalg.norm(V, axis=0)
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    fidelity = np.sqrt(np.einsum("ki,ki->i", ref_V, V) / (ref_norm * norm))
+                fidelity[(ref_norm < 1e-30) | (norm < 1e-30)] = np.nan
+                payload.setdefault("spectrum", {})[key] = np.minimum(fidelity, 1.0)
+                payload.setdefault("magnetization", {})[key] = magnetization[:, -1].copy()
             if horizon:
                 populations = walk_populations(stages.U, Configuration(index=2**n - 1, n=n), horizon)
                 payload.setdefault("walk", {})[key] = (prs, populations)
-
-    if "spectrum" in spec.tasks:
-        ref_V = spectra.get(0.0)
-        if ref_V is None:
-            U0 = Stages(replace(spec.params, epsilon=0.0), disorder).U
-            ref_V = dft_power(basis_dynamics(U0, spec.periods)[0])
-        ref_norm = np.linalg.norm(ref_V, axis=0)
-        for eps, V in spectra.items():
-            norm = np.linalg.norm(V, axis=0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                fidelity = np.sqrt(np.einsum("ki,ki->i", ref_V, V) / (ref_norm * norm))
-            fidelity[(ref_norm < 1e-30) | (norm < 1e-30)] = np.nan
-            payload.setdefault("spectrum", {})[eps_tag(eps)] = np.minimum(fidelity, 1.0)
     return payload
 
 

@@ -348,10 +348,10 @@ class TestOnePropagationPerEpsilon:
     @pytest.mark.parametrize(
         "epsilons, tasks, built, propagated",
         [
-            # epsilon = 0 is swept: it is also the spectrum reference
+            # every task with epsilon = 0 swept: one build and one propagation per epsilon
             ((0.0, 0.012, 0.1), frozenset(dtcnet.TASKS), [0.0, 0.012, 0.1], 3),
-            # epsilon = 0 is not swept: one extra build and propagation
-            ((0.012, 0.1), frozenset({"spectrum", "walk"}), [0.0, 0.012, 0.1], 3),
+            # epsilon = 0 is not swept: its reference is the exact flip series, built from no U
+            ((0.012, 0.1), frozenset({"spectrum", "walk"}), [0.012, 0.1], 2),
             # neither spectrum nor walk: no basis propagation at all
             ((0.0, 0.1), frozenset({"graph", "levelstats"}), [0.0, 0.1], 0),
             # no task reads U: no build at all
@@ -378,6 +378,33 @@ class TestOnePropagationPerEpsilon:
         alone = fidelity((0.012,))
         for epsilons in ((0.0, 0.012), (0.012, 0.0)):
             assert np.array_equal(fidelity(epsilons), alone, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])  # odd n: no configuration has zero magnetization
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_reference_is_the_propagated_zero_error_spectrum(self, n, seed):
+        params = SpinChainParams(n=n, J0=0.4, W=1.3, T1=0.7)
+        spec = _spec(params=params, epsilons=(0.012, 0.1), seed=seed, tasks=frozenset({"spectrum"}), periods=16)
+        zero = replace(params, epsilon=0.0)
+        ref_V = dtcnet.dft_power(
+            dtcnet.basis_dynamics(dtcnet.drive_unitary(zero, sample_disorder(zero, seed, 0)), spec.periods)[0]
+        )
+        ref_norm = np.linalg.norm(ref_V, axis=0)
+        for eps, fidelity in zip(spec.epsilons, realization_outputs(spec, 0)["spectrum"].values()):
+            U = dtcnet.drive_unitary(replace(params, epsilon=eps), sample_disorder(params, seed, 0))
+            V = dtcnet.dft_power(dtcnet.basis_dynamics(U, spec.periods)[0])
+            norm = np.linalg.norm(V, axis=0)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                expected = np.minimum(np.sqrt(np.einsum("ki,ki->i", ref_V, V) / (ref_norm * norm)), 1.0)
+            expected[(ref_norm < 1e-30) | (norm < 1e-30)] = np.nan
+            assert np.array_equal(np.isnan(fidelity), np.isnan(expected))
+            assert np.isnan(fidelity).any() == (n % 2 == 0)
+            np.testing.assert_allclose(fidelity, expected, rtol=0, atol=1e-12, equal_nan=True)
+
+    def test_magnetization_series_owns_its_data(self):
+        spec = _spec(params=SpinChainParams(n=4), epsilons=(0.0, 0.1), tasks=frozenset({"spectrum"}), periods=8)
+        for series in realization_outputs(spec, 0)["magnetization"].values():
+            assert series.shape == (spec.periods + 1,)
+            assert series.base is None and series.flags.owndata
 
     @pytest.mark.parametrize("eps, periods", [(0.1, 8), (0.005, 64)])
     def test_walk_prs_equal_pr_distribution(self, eps, periods):

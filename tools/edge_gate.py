@@ -21,12 +21,13 @@ listing:
   compared byte for byte; a graph with a flip is skipped and counted;
 - `dtcnet ensemble` on that config at seeds 0-2: every CSV it writes,
   compared byte for byte;
-- one small run of each other subcommand, a graph run at epsilon = 0
-  and a simulate run whose spectrum warns (CLI_RUNS): its exit code,
-  its stdout and stderr with the output directory replaced by <out>,
-  and every file it writes, compared byte for byte (a differing .npy
-  file is also reported with whether its shape and dtype match and, if
-  they do, max |new - old|);
+- one small run of each other subcommand, a graph run at epsilon = 0,
+  a spectrum run that does not sweep epsilon = 0 and a simulate run
+  whose spectrum warns (CLI_RUNS): its exit code, its stdout and
+  stderr with the output directory replaced by <out>, and every file
+  it writes, compared byte for byte (a differing .npy file is also
+  reported with whether its shape and dtype match and, if they do,
+  max |new - old|);
 - the degree-distribution verdicts: ensemble.degree_fit, each side on
   its own graphs, over the pooled degrees of each fixture epsilon (T,
   100 realizations) and of each seed, epsilon and period (T, 2T) of the
@@ -89,6 +90,8 @@ CLI_RUNS = {
     "graph-eps0": "graph --n 8 --epsilon 0 --seed 1 --format csv",
     "level-stats": "level-stats --n 6 --epsilon 0,0.012,0.1 --seed 2 --realizations 3",
     "spectrum": "spectrum --n 6 --epsilon 0,0.012,0.1 --seed 2 --realizations 3 --periods 32",
+    # epsilon = 0 not swept: the fidelity reference is no entry of the sweep
+    "spectrum-no-zero": "spectrum --n 6 --epsilon 0.012,0.1 --seed 2 --realizations 3 --periods 32",
     "walk": "walk --n 6 --epsilon 0.1 --seed 4",
     "classical": "classical --n 6",
     "degree-fit": "degree-fit {root}/graph-csv/nodes-eps0p012.csv --n 8 --epsilon 0.012",
