@@ -4,7 +4,9 @@ main resolves each of a subcommand's flags once: an explicit flag wins
 over the --config JSON file, which wins over _DEFAULTS; chain settings
 left unset take the SpinChainParams defaults. An ensemble config is an
 EnsembleSpec, which only the flags given override. Each value passes
-through unconverted, and the object that owns a setting checks its type.
+through unconverted, and the object that owns a setting checks it, once:
+each epsilon value is checked by its chain's SpinChainParams, and the
+chain size by check_size, in EnsembleSpec or _params_from.
 Validation problems exit with status 1 and a single-line diagnostic;
 I/O problems exit with status 2.
 """
@@ -16,7 +18,6 @@ import csv
 import json
 import sys
 from dataclasses import replace
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from .ensemble import (
 from .floquet_core import bch_effective_2T, effective_hamiltonian
 from .netfit import poisson_fit
 from .percolation_graph import clusters, export_graph, export_nodes_csv
-from .spin_hilbert import SpinChainParams, check_setting, sample_disorder
+from .spin_hilbert import SpinChainParams, sample_disorder
 
 __all__ = ["main"]
 
@@ -125,18 +126,10 @@ def _resolve_flags(args: argparse.Namespace, config: dict) -> None:
 
 
 def _epsilons(args) -> tuple[float, ...]:
-    """The epsilon values, the flag's list or a config number or list, checked."""
-    raw = args.epsilon
-    if raw is None:
+    """The epsilon values, the flag's list or a config value or list; each chain checks its own."""
+    if args.epsilon is None:
         raise CliError("--epsilon is required")
-    values = raw if isinstance(raw, list) else [raw]
-    for value in values:
-        check_setting("epsilon", value, Real)
-    if not values:
-        raise CliError("epsilon list is empty")
-    if any(v < 0 for v in values):
-        raise CliError("epsilon values must be >= 0")
-    return tuple(values)
+    return tuple(args.epsilon) if isinstance(args.epsilon, list) else (args.epsilon,)
 
 
 def _epsilon(args) -> float:
@@ -158,7 +151,7 @@ def _params_from(args, single: bool = False) -> SpinChainParams:
 
     With single, the chain is at the subcommand's one --epsilon value.
     Every subcommand that builds a chain reads them here, except ensemble,
-    whose run_ensemble makes the same check_size call.
+    whose EnsembleSpec makes the same check_size call.
     """
     if args.n is None:
         raise CliError("--n is required")
@@ -255,8 +248,8 @@ def _read_degree_column(path: Path) -> np.ndarray:
 
 def _cmd_degree_fit(args, config: dict) -> int:
     degrees = _read_degree_column(Path(args.degree_csv))
-    eps = float("nan") if args.epsilon is None else _epsilon(args)
-    # the n column of the fit row: 0 when not given, else a chain's own n (>= 2)
+    # the epsilon and n columns of the fit row: NaN and 0 when not given, else a chain's own values
+    eps = float("nan") if args.epsilon is None else SpinChainParams(n=2, epsilon=_epsilon(args)).epsilon
     n = 0 if args.n is None else SpinChainParams(n=args.n).n
 
     try:

@@ -7,7 +7,7 @@ from math import pi
 
 import numpy as np
 
-from .floquet_core import FloquetOperator, stroboscopic_evolve
+from .floquet_core import FloquetOperator, drive_unitary, stroboscopic_evolve
 from .spin_hilbert import (
     Configuration,
     DisorderRealization,
@@ -268,6 +268,5 @@ def basis_dynamics(
 
 def pr_distribution(params: SpinChainParams, disorder: DisorderRealization) -> np.ndarray:
     """Participation ratio of every configuration at walk_horizon_periods(params)."""
-    from .ensemble import Stages  # ensemble imports this module: the stages are read at call time
     horizon = walk_horizon_periods(params)
-    return basis_dynamics(Stages(params, disorder).U, 0, horizon)[1]
+    return basis_dynamics(drive_unitary(params, disorder), 0, horizon)[1]

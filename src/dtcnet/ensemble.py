@@ -17,8 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from functools import cached_property
-from math import isfinite, pi
-from numbers import Integral, Real
+from math import pi
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -71,16 +71,11 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         for name in ("realizations", "seed", "periods"):
             check_setting(name, getattr(self, name), Integral)
-        for e in self.epsilons:
-            check_setting("epsilons", e, Real)
+        chains = [replace(self.params, epsilon=e) for e in self.epsilons]  # each chain checks its epsilon
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
-        if len(self.epsilons) == 0:
+        if not chains:
             raise ValueError("epsilons must be nonempty")
-        if not all(isfinite(e) for e in self.epsilons):
-            raise ValueError(f"epsilons must be finite, got {list(self.epsilons)}")
-        if any(e < 0 for e in self.epsilons):
-            raise ValueError("epsilons must be >= 0")
         tags = [eps_tag(e) for e in self.epsilons]
         for tag in tags:
             if tags.count(tag) > 1:
@@ -96,20 +91,19 @@ class EnsembleSpec:
             raise ValueError("periods must be >= 2")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        # each table stays within the dense-matrix limit 4^MAX_SITES, and the basis propagation
-        # behind them within 2 x DEFAULT_PERIODS steps of 4^n at n = MAX_SITES
+        # the chain, each table within the dense-matrix limit 4^MAX_SITES, and the basis
+        # propagation behind them within 2 x DEFAULT_PERIODS steps of 4^n at n = MAX_SITES
         n = self.params.n
-        if n > MAX_SITES:
-            return  # run_ensemble's check_size refuses the chain whole
+        check_size(n)
         steps = self.periods if "spectrum" in self.tasks else 0
         if steps**2 > 4**MAX_SITES:
             raise ValueError(f"the {steps} x {steps} DFT exceeds the dense-matrix limit 4^{MAX_SITES}")
-        for e in (e for e in self.epsilons if e > 0 and "walk" in self.tasks):
-            horizon = walk_horizon_periods(replace(self.params, epsilon=e))
+        for chain in (c for c in chains if c.epsilon > 0 and "walk" in self.tasks):
+            horizon = walk_horizon_periods(chain)
             if (horizon + 1) * 2**n > 4**MAX_SITES:
                 raise ValueError(
-                    f"the walk at epsilon = {e:g} runs {horizon:.4g} periods: its population table of "
-                    f"(horizon + 1) x 2^{n} entries exceeds the dense-matrix limit 4^{MAX_SITES}"
+                    f"the walk at epsilon = {chain.epsilon:g} runs {horizon:.4g} periods: its population "
+                    f"table of (horizon + 1) x 2^{n} entries exceeds the dense-matrix limit 4^{MAX_SITES}"
                 )
             steps = max(steps, horizon)
         if steps * 4**n > 2 * DEFAULT_PERIODS * 4**MAX_SITES:
@@ -350,7 +344,6 @@ def run_ensemble(spec: EnsembleSpec, out_dir: str | Path = ".") -> RunManifest:
     order, so aggregates do not depend on scheduling. The run writes into
     <name>.partial and renames it to <name> once manifest.json is written.
     """
-    check_size(spec.params.n)
     t_start = time.perf_counter()
     run_dir, work_dir = _claim_run_dir(Path(out_dir), spec.seed)
 

@@ -133,6 +133,8 @@ class Configuration:
     n: int
 
     def __post_init__(self) -> None:
+        check_setting("index", self.index, Integral)
+        check_setting("n", self.n, Integral)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not 0 <= self.index < 2**self.n:
@@ -234,6 +236,7 @@ def sample_disorder(params: SpinChainParams, seed: int, realization_index: int) 
     draw does not depend on evaluation order.
     """
     check_setting("seed", seed, Integral)
+    check_setting("realization_index", realization_index, Integral)
     if seed < 0 or realization_index < 0:
         raise ValueError("seed and realization_index must be >= 0")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(realization_index,))

@@ -45,6 +45,27 @@ def _column(header, body, name):
 
 _ENSEMBLE_CONFIG = {"params": {"n": 3}, "epsilons": [0.1], "realizations": 1, "seed": 0, "tasks": ["graph"]}
 
+# each subcommand that reads epsilon; ensemble's config is _ENSEMBLE_CONFIG with its epsilons replaced
+_EPSILON_ARGV = {
+    "simulate": ["simulate", "--n", "3"],
+    "graph": ["graph", "--n", "3"],
+    "walk": ["walk", "--n", "3"],
+    "degree-fit": ["degree-fit", "degrees.csv"],
+    "level-stats": ["level-stats", "--n", "3"],
+    "spectrum": ["spectrum", "--n", "3"],
+    "ensemble": ["ensemble"],
+}
+_SINGLE_EPSILON = ("simulate", "graph", "walk", "degree-fit")
+# an invalid epsilon form -> (its --epsilon value, else its config value; the refusal of its owner)
+_EPSILON_FORMS = {
+    "non-number": (None, "x", "epsilon must be a number, got 'x'"),
+    "nan": ("nan", None, "epsilon must be finite, got nan"),
+    "inf": ("inf", None, "epsilon must be finite, got inf"),
+    "negative": ("-0.1", None, "epsilon must be >= 0"),
+    "empty list": (None, [], "epsilons must be nonempty"),
+    "two values": ("0.1,0.2", None, "this subcommand takes a single epsilon value"),
+}
+
 
 class TestDispatch:
     def test_unknown_subcommand_exits_1(self, capsys):
@@ -191,7 +212,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "argv, config, message",
         [
-            (["level-stats", "--n", "3"], {"epsilon": []}, "epsilon list is empty"),
+            (["level-stats", "--n", "3"], {"epsilon": []}, "epsilons must be nonempty"),
             (["graph", "--n", "3"], {"epsilon": [0.1, 0.2]}, "this subcommand takes a single epsilon value"),
         ],
     )
@@ -199,6 +220,30 @@ class TestValidation:
         # the value came from --config, so the message names the setting, not the flag
         monkeypatch.chdir(tmp_path)
         Path("cfg.json").write_text(json.dumps(config))
+        assert main(argv + ["--config", "cfg.json", "--out-dir", "out"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize(
+        "subcommand, form",
+        [(sub, form) for sub in _EPSILON_ARGV for form in _EPSILON_FORMS
+         if form != "two values" or sub in _SINGLE_EPSILON],
+    )
+    def test_invalid_epsilon_refused_by_its_owner(self, subcommand, form, tmp_path, capsys, monkeypatch):
+        # a chain's SpinChainParams checks each value; the spec, that its list is nonempty;
+        # the subcommand, that it is given and, where it takes one, that there is one
+        flag, value, message = _EPSILON_FORMS[form]
+        if form == "empty list" and subcommand in _SINGLE_EPSILON:
+            message = "this subcommand takes a single epsilon value"
+        monkeypatch.chdir(tmp_path)
+        Path("degrees.csv").write_text("degree\n" + "\n".join(map(str, range(1, 60))) + "\n")
+        if subcommand == "ensemble":
+            given = {} if value is None else {"epsilons": value if isinstance(value, list) else [value]}
+            config = {**_ENSEMBLE_CONFIG, **given}
+        else:
+            config = {} if value is None else {"epsilon": value}
+        Path("cfg.json").write_text(json.dumps(config))
+        argv = _EPSILON_ARGV[subcommand] + ([] if flag is None else ["--epsilon", flag])
         assert main(argv + ["--config", "cfg.json", "--out-dir", "out"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not Path("out").exists()
@@ -257,7 +302,7 @@ class TestValidation:
                                    "realizations": 1, "seed": 0, "tasks": ["graph"]}))
         out = tmp_path / "out"
         assert main(["ensemble", "--config", str(cfg), "--out-dir", str(out)]) == 1
-        assert "epsilons must be finite" in capsys.readouterr().err
+        assert "epsilon must be finite" in capsys.readouterr().err
         assert not out.exists()  # rejected before the run directory exists
 
     def test_ensemble_params_key_not_a_chain_setting_exits_1(self, tmp_path, capsys):

@@ -178,10 +178,11 @@ class TestRunEnsemble:
         assert names(first) == names(second)
 
     def test_oversized_chain_rejected(self):
-        spec = _spec(params=SpinChainParams(n=15), tasks=frozenset({"classical"}))
+        # a spec that cannot run cannot be built, so no run directory is claimed
         with tempfile.TemporaryDirectory() as tmp:
-            with pytest.raises(ValueError):
-                run_ensemble(spec, out_dir=tmp)
+            with pytest.raises(ValueError, match="n = 15 exceeds the dense-matrix limit"):
+                run_ensemble(_spec(params=SpinChainParams(n=15), tasks=frozenset({"classical"})), out_dir=tmp)
+            assert not any(Path(tmp).iterdir())
 
     def test_2T_branch_warnings_recorded(self, tmp_path, monkeypatch):
         solve = dtcnet.ensemble.two_period_spectrum

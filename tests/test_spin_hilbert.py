@@ -122,6 +122,18 @@ class TestConfiguration:
         with pytest.raises(ValueError, match="n must be >= 1"):
             Configuration(index=0, n=0)
 
+    @pytest.mark.parametrize(
+        "index, n, setting", [(1.5, 3, "index"), (True, 3, "index"), ("1", 3, "index"), (1, 3.0, "n"), (1, True, "n")]
+    )
+    def test_non_integer_fields_rejected(self, index, n, setting):
+        # checked when built, not later in label or in an evolution's indexing
+        with pytest.raises(ValueError, match=f"^{setting} must be an integer"):
+            Configuration(index=index, n=n)
+
+    def test_numpy_integers_accepted(self):
+        cfg = Configuration(index=np.int64(5), n=np.int64(3))
+        assert cfg.label == "101"
+
 
 class TestPauliString:
     def test_sigma_z_on_up_state(self):
@@ -198,6 +210,16 @@ class TestDisorder:
     def test_site_count_follows_fields(self):
         disorder = DisorderRealization(fields=np.zeros(3), seed=0, realization_index=0)
         assert disorder.n == 3
+
+    @pytest.mark.parametrize("index", [True, 1.5, "1"])
+    def test_non_integer_realization_index_rejected(self, index):
+        # True would draw realization 1's fields; the others failed inside numpy or a comparison
+        with pytest.raises(ValueError, match="^realization_index must be an integer"):
+            sample_disorder(SpinChainParams(n=4), 0, index)
+
+    def test_numpy_integer_realization_index_accepted(self):
+        params = SpinChainParams(n=4)
+        assert np.array_equal(sample_disorder(params, 0, np.int64(2)).fields, sample_disorder(params, 0, 2).fields)
 
     def test_negative_realization_index_rejected(self):
         with pytest.raises(ValueError, match="seed and realization_index must be >= 0"):

@@ -22,12 +22,13 @@ listing:
 - `dtcnet ensemble` on that config at seeds 0-2: every CSV it writes,
   compared byte for byte;
 - one small run of each other subcommand, a graph run at epsilon = 0,
-  a spectrum run that does not sweep epsilon = 0 and a simulate run
-  whose spectrum warns (CLI_RUNS): its exit code, its stdout and
-  stderr with the output directory replaced by <out>, and every file
-  it writes, compared byte for byte (a differing .npy file is also
-  reported with whether its shape and dtype match and, if they do,
-  max |new - old|);
+  a spectrum run that does not sweep epsilon = 0, a simulate run whose
+  spectrum warns, and two runs refused before they write (a chain over
+  the size limit, a walk whose population table exceeds it) (CLI_RUNS):
+  its exit code, its stdout and stderr with the output directory
+  replaced by <out>, and every file it writes, compared byte for byte
+  (a differing .npy file is also reported with whether its shape and
+  dtype match and, if they do, max |new - old|);
 - the degree-distribution verdicts: ensemble.degree_fit, each side on
   its own graphs, over the pooled degrees of each fixture epsilon (T,
   100 realizations) and of each seed, epsilon and period (T, 2T) of the
@@ -97,6 +98,9 @@ CLI_RUNS = {
     "degree-fit": "degree-fit {root}/graph-csv/nodes-eps0p012.csv --n 8 --epsilon 0.012",
     # uncoupled and unrotated, U = -sigma^x sigma^x: two eigenphases on the branch cut, on stderr
     "health": "simulate --n 2 --epsilon 0 --disorder-w 0 --j0 0 --seed 0",
+    # refused in one line, with no file written: n over MAX_SITES, and a walk of 6.4e6 periods
+    "refuse-size": "graph --n 13 --epsilon 0.1",
+    "refuse-walk": "walk --n 4 --epsilon 1e-7",
 }
 
 
