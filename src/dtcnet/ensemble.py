@@ -81,7 +81,9 @@ class EnsembleSpec:
             if tags.count(tag) > 1:
                 clash = [e for e, t in zip(self.epsilons, tags) if t == tag]
                 raise ValueError(f"epsilons {clash} share the output tag {tag!r}; their files would collide")
-        _check_tasks(self.tasks)
+        if not all(isinstance(task, str) for task in self.tasks):
+            raise ValueError(f"tasks must be strings, got {list(self.tasks)!r}")
+        object.__setattr__(self, "tasks", frozenset(self.tasks))
         unknown = set(self.tasks) - set(TASKS)
         if unknown:
             raise ValueError(f"unknown tasks {sorted(unknown)}; expected subset of {TASKS}")
@@ -121,14 +123,13 @@ class EnsembleSpec:
         for key in ("epsilons", "tasks"):
             if not isinstance(payload.get(key, []), list):
                 raise ValueError(f"{key} must be a JSON list, got {payload[key]!r}")
-        _check_tasks(payload.get("tasks", []))
         return cls(
             # only the settings given; the rest take the SpinChainParams defaults
             params=SpinChainParams(n=p["n"], **{key: p[key] for key in _CHAIN_KEYS if key in p}),
             epsilons=tuple(payload["epsilons"]),
             realizations=payload["realizations"],
             seed=payload["seed"],
-            tasks=frozenset(payload["tasks"]),
+            tasks=payload["tasks"],
             periods=payload.get("periods", DEFAULT_PERIODS),
         )
 
@@ -142,11 +143,6 @@ class EnsembleSpec:
             "tasks": sorted(self.tasks),
             "periods": self.periods,
         }
-
-
-def _check_tasks(tasks) -> None:
-    if not all(isinstance(task, str) for task in tasks):
-        raise ValueError(f"tasks must be strings, got {list(tasks)!r}")
 
 
 @dataclass(frozen=True)
@@ -181,12 +177,12 @@ def _worker_count(notes: list[str]) -> int:
 def check_size(n: int) -> None:
     """Refuse a chain too large for the dense propagator and its spectrum.
 
-    A dense 2^n x 2^n complex matrix takes 16 * 4^n bytes, and the
-    spectrum path holds about 9 of them at its peak (U and U^2, the
-    eigensolver's work arrays, the eigenvectors and the effective
-    Hamiltonians; `dtcnet simulate` peaks 91 MB above its import
-    footprint at n = 10 and 313 MB at n = 11, 5.7 and 4.9 copies). That
-    is about 2.4 GB at n = MAX_SITES = 12 and 9.7 GB at n = 13. Raises
+    A dense 2^n x 2^n complex matrix takes 16 * 4^n bytes. The estimate
+    counts 9 of them, an upper bound: above the import footprint, at
+    epsilon = 0.012 and n = 10 and 11, every subcommand and a
+    one-realization ensemble of all five tasks peak at 4.0 to 5.8
+    copies (the most, 97 MB, by that ensemble at n = 10). 9 copies are
+    about 2.4 GB at n = MAX_SITES = 12 and 9.7 GB at n = 13. Raises
     ValueError with a one-line message before anything is allocated.
     """
     if n > MAX_SITES:

@@ -276,25 +276,28 @@ def squared_floquet(op: FloquetOperator) -> FloquetOperator:
 def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
     """Diagonalize a unitary propagator block by block.
 
-    The support graph of |U_ij| > SUPPORT_TOL is split into connected
-    components (_support_components). A one-component U or U^2 of the
-    drive (an operator with a pulse angle theta) is solved by one real
-    orthogonal eigensolve of the Cayley matrix of its symmetrized form
-    (_symmetrized_eigensystem), gated on its Cholesky, residual and
-    orthonormality, with a complex Schur of U as the fallback. Every
-    other block (the epsilon = 0 blocks, hand-made operators) is solved
-    by one complex Schur (_schur_eigensystem).
+    One scan (_support_components) splits the support graph of
+    |U_ij| > SUPPORT_TOL into connected components, which _solve_blocks
+    solves. A one-component U or U^2 of the drive (an operator with a
+    pulse angle theta) takes one real orthogonal eigensolve of the Cayley
+    matrix of its symmetrized form (_symmetrized_eigensystem), gated on
+    its Cholesky, residual and orthonormality, with a complex Schur of U
+    as the fallback. Every other block (the epsilon = 0 blocks, hand-made
+    operators) takes one complex Schur (_schur_eigensystem).
     Decoupled blocks therefore never mix: at zero rotation error the
     mirror-symmetric dimer pairs are exactly degenerate, and a dense
     solver would rotate them into each other at machine precision,
     producing spurious couplings. Eigenvectors across blocks have
     disjoint support, hence exact zeros in the effective Hamiltonian.
     """
-    U = op.matrix
-    dim = U.shape[0]
-    if U.shape != (dim, dim):
+    if op.matrix.shape != (op.dim, op.dim):
         raise ValueError("propagator must be square")
-    n_comp, labels = _support_components(U)
+    return _solve_blocks(op, *_support_components(op.matrix))
+
+
+def _solve_blocks(op: FloquetOperator, n_comp: int, labels: np.ndarray) -> FloquetSpectrum:
+    """op's spectrum on the components of _support_components(op.matrix), grouped by one stable sort."""
+    U, dim = op.matrix, labels.size
     if n_comp == 1 and op.theta is not None:
         solved = [_symmetrized_eigensystem(op)]
         eigenvalues, basis = solved[0].values, solved[0].vectors
@@ -302,8 +305,7 @@ def floquet_spectrum(op: FloquetOperator) -> FloquetSpectrum:
         eigenvalues = np.zeros(dim, dtype=complex)
         basis = np.zeros((dim, dim), dtype=complex)
         solved, col = [], 0
-        for comp in range(n_comp):
-            idx = np.flatnonzero(labels == comp)
+        for idx in np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1]):
             block = _schur_eigensystem(U[np.ix_(idx, idx)])
             eigenvalues[col : col + idx.size] = block.values
             basis[idx, col : col + idx.size] = block.vectors
@@ -321,18 +323,21 @@ def two_period_spectrum(op: FloquetOperator, spectrum: FloquetSpectrum) -> Floqu
 
     U's eigenvectors diagonalize U^2 with eigenvalues mu^2, so they are
     reused, and nothing is solved, when the support of U^2 is one block:
-    the spectrum shares U's basis (on the real path O, which the same S
-    symmetrizes for U^2) and its half pulse angle.
+    the spectrum shares U's basis array (on the real path O, which the
+    same S symmetrizes for U^2) and its half pulse angle.
     U^2 then has no exact zeros to keep, and U, whose blocks U^2 can
     only refine, is one block too. Otherwise (at epsilon = 0 U^2 is
-    diagonal while U has dimer blocks) U^2 is solved on its own blocks.
-    spectrum must be floquet_spectrum(op).
+    diagonal while U has dimer blocks) U^2 is solved on the blocks that
+    scan found (_solve_blocks), into a basis of its own: the route shows
+    as whether the result's basis is spectrum.basis. spectrum must be
+    floquet_spectrum(op).
     """
     if spectrum.basis.shape[0] != op.dim or spectrum.period != op.period:
         raise ValueError("spectrum does not belong to this propagator")
     squared = squared_floquet(op)
-    if _support_components(squared.matrix)[0] != 1:
-        return floquet_spectrum(squared)
+    n_comp, labels = _support_components(squared.matrix)
+    if n_comp != 1:
+        return _solve_blocks(squared, n_comp, labels)
     health = (spectrum.schur_fallbacks, spectrum.residual, spectrum.gram_defect)
     return _sorted_spectrum(
         spectrum.eigenvalues**2, spectrum.basis, spectrum.order, spectrum.half_angle, squared.period, *health

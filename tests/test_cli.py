@@ -568,21 +568,22 @@ class TestOneSolveRoutePerCaller:
         "argv, calls",
         [
             # the T graph alone: no 2T spectrum
-            (["graph", "--epsilon", "0.012"], {"build": 1, "solve T": 1, "2T": 0, "solve U^2": 0}),
+            (["graph", "--epsilon", "0.012"], {"build": 1, "solve T": 1, "2T": 0, "solve U^2": 0, "scans": 1}),
             # the 2T spectrum reuses U's eigenpairs
-            (["simulate", "--epsilon", "0.012"], {"build": 1, "solve T": 1, "2T": 1, "solve U^2": 0}),
-            # at epsilon = 0, U^2 is diagonal while U has dimer blocks: U^2 is solved afresh
-            (["simulate", "--epsilon", "0"], {"build": 1, "solve T": 1, "2T": 1, "solve U^2": 1}),
+            (["simulate", "--epsilon", "0.012"], {"build": 1, "solve T": 1, "2T": 1, "solve U^2": 0, "scans": 2}),
+            # at epsilon = 0, U^2 is diagonal while U has dimer blocks: U^2 is solved
+            # afresh, on the blocks its one scan found
+            (["simulate", "--epsilon", "0"], {"build": 1, "solve T": 1, "2T": 1, "solve U^2": 1, "scans": 2}),
         ],
     )
     def test_calls_into_the_stages(self, argv, calls, tmp_path, monkeypatch):
         counts = dict.fromkeys(calls, 0)
 
-        def count(module, name, key):
+        def count(module, name, key, when=lambda *args: True):
             original = getattr(module, name)
 
             def counted(*args):
-                counts[key] += 1
+                counts[key] += when(*args)
                 return original(*args)
 
             monkeypatch.setattr(module, name, counted)
@@ -590,8 +591,10 @@ class TestOneSolveRoutePerCaller:
         count(dtcnet.ensemble, "drive_unitary", "build")
         count(dtcnet.ensemble, "floquet_spectrum", "solve T")
         count(dtcnet.ensemble, "two_period_spectrum", "2T")
-        # two_period_spectrum's fresh solve looks floquet_spectrum up in floquet_core
-        count(dtcnet.floquet_core, "floquet_spectrum", "solve U^2")
+        # the block solve behind both spectra, counted on the two-period operator
+        two_periods = 2 * SpinChainParams(n=4).period
+        count(dtcnet.floquet_core, "_solve_blocks", "solve U^2", lambda op, *_: op.period == two_periods)
+        count(dtcnet.floquet_core, "_support_components", "scans")
         assert main([*argv, "--n", "4", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
         assert counts == calls
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import tempfile
 import warnings
 from dataclasses import replace
@@ -138,6 +139,13 @@ class TestEnsembleSpec:
         assert spec.params.W == np.pi
         assert spec.params.T1 == 1.0 and spec.params.T2 == 1.0
         assert spec.periods == 64
+
+    @pytest.mark.parametrize("tasks", [[1, "graph"], [["graph"]]])
+    def test_from_json_tasks_must_be_strings(self, tasks):
+        # the spec checks its tasks once, unhashable entries included, and names them in the order given
+        payload = {**_spec().to_json(), "tasks": tasks}
+        with pytest.raises(ValueError, match=re.escape(f"tasks must be strings, got {tasks!r}")):
+            EnsembleSpec.from_json(payload)
 
 
 class TestRunEnsemble:
@@ -425,17 +433,16 @@ class TestTwoPeriodGraph:
     """The 2T graph reuses U's eigenpairs; only epsilon = 0 solves U^2."""
 
     def test_squared_propagator_solved_only_at_zero_error(self, monkeypatch):
-        # floquet_spectrum is looked up in ensemble (the T solve) and in
-        # floquet_core (two_period_spectrum's fallback): count both
+        # floquet_spectrum (the T solve) and two_period_spectrum's fresh
+        # route both solve through the one block solve
         solved = []
-        original = dtcnet.floquet_core.floquet_spectrum
+        original = dtcnet.floquet_core._solve_blocks
 
-        def counted(op):
+        def counted(op, *partition):
             solved.append(op)
-            return original(op)
+            return original(op, *partition)
 
-        monkeypatch.setattr(dtcnet.ensemble, "floquet_spectrum", counted)
-        monkeypatch.setattr(dtcnet.floquet_core, "floquet_spectrum", counted)
+        monkeypatch.setattr(dtcnet.floquet_core, "_solve_blocks", counted)
         spec = _spec(params=SpinChainParams(n=6), epsilons=(0.0, 0.012, 0.1), realizations=2)
         zero = replace(spec.params, epsilon=0.0)
         for r in range(spec.realizations):

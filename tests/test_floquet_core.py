@@ -760,7 +760,9 @@ class TestTwoPeriodSpectrum:
         # is solved on its own 1x1 blocks, bit for bit as before
         params = SpinChainParams(n=n, epsilon=0.0)
         op = drive_unitary(params, sample_disorder(params, 5, 0))
-        spectrum = two_period_spectrum(op, floquet_spectrum(op))
+        solved = floquet_spectrum(op)
+        spectrum = two_period_spectrum(op, solved)
+        assert spectrum.basis is not solved.basis
         reference = _fresh_two_period(op)
         assert np.array_equal(spectrum.quasienergies, reference.quasienergies)
         assert np.array_equal(spectrum.eigenvalues, reference.eigenvalues)
@@ -806,12 +808,24 @@ class TestTwoPeriodSpectrum:
         solves = _record_solvers(monkeypatch)
         doubled = two_period_spectrum(op, spectrum)
         assert solves == []
+        assert doubled.basis is spectrum.basis
         assert doubled.schur_fallbacks == 0
         # the input is left as it was
         assert np.array_equal(spectrum.basis, basis) and np.array_equal(spectrum.order, order)
         mu = np.exp(-1j * doubled.quasienergies * doubled.period)
         V = doubled.states
         assert np.abs(squared_floquet(op).matrix @ V - V * mu).max() < 1e-13
+
+    @pytest.mark.parametrize("eps", [0.0, 0.012])
+    def test_square_scanned_once(self, monkeypatch, eps):
+        # the fresh route solves U^2 on the blocks its one scan found
+        params = SpinChainParams(n=6, epsilon=eps)
+        op = drive_unitary(params, sample_disorder(params, 3, 0))
+        spectrum = floquet_spectrum(op)
+        scans, scan = [], floquet_core._support_components
+        monkeypatch.setattr(floquet_core, "_support_components", lambda U: scans.append(U) or scan(U))
+        two_period_spectrum(op, spectrum)
+        assert len(scans) == 1
 
     def test_branch_warnings_match_fresh_solve(self):
         # U eigenphases within BRANCH_MARGIN of +-pi/2 double onto the cut

@@ -14,8 +14,8 @@ listing:
 - the benchmark's ensemble_n8 config (n = 8, epsilons 0, 0.012, 0.1,
   three realizations) at seeds 0-5: the T and 2T graphs as the ensemble
   graph task builds them, and the route each side's two_period_spectrum
-  took: U's eigenpairs reused, or U^2 solved afresh (a call to that
-  package's floquet_spectrum inside it);
+  took: U's eigenpairs reused, or U^2 solved afresh (whether the 2T
+  spectrum shares U's basis array);
 - the export documents of those ensemble graphs: export_graph in each
   of EXPORTS and export_nodes_csv, each side rendering its own graph,
   compared byte for byte; a graph with a flip is skipped and counted;
@@ -200,15 +200,9 @@ def sweep_gates(pkg, base) -> tuple[Gate, Gate]:
 
 
 def two_period_route(pkg, U, spectrum) -> tuple:
-    """pkg's two_period_spectrum(U, spectrum) and its route: "fresh" if it called pkg's floquet_spectrum."""
-    core = pkg.floquet_core
-    solve, calls = core.floquet_spectrum, []
-    core.floquet_spectrum = lambda op: calls.append(op) or solve(op)
-    try:
-        doubled = pkg.two_period_spectrum(U, spectrum)
-    finally:
-        core.floquet_spectrum = solve
-    return doubled, "fresh" if calls else "reused"
+    """pkg's two_period_spectrum(U, spectrum) and its route: "reused" if it shares U's basis array."""
+    doubled = pkg.two_period_spectrum(U, spectrum)
+    return doubled, "reused" if doubled.basis is spectrum.basis else "fresh"
 
 
 def ensemble_gate(pkg, base) -> Gate:
