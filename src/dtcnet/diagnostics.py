@@ -7,7 +7,7 @@ from math import pi
 
 import numpy as np
 
-from .floquet_core import FloquetOperator, drive_unitary, stroboscopic_evolve
+from .floquet_core import FloquetOperator, _kron_apply, drive_unitary, stroboscopic_evolve
 from .spin_hilbert import (
     Configuration,
     DisorderRealization,
@@ -242,27 +242,49 @@ def basis_dynamics(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Evolve every initial configuration at once by powering the propagator.
 
-    Starts from W = I and repeats W = U W (FloquetOperator.apply, the
-    factored product for a drive propagator) up to max(periods, horizon).
     Returns (magnetization, prs): magnetization[m, i] is the per-site z
     magnetization at m = 0..periods of the state started in
     configuration i, and prs[i] its participation ratio 1 / sum |W|^4 at
-    m = horizon (None when no horizon is given).
+    m = horizon (None when no horizon is given), with W = U^m. Both read
+    only |W|^2, taken as re^2 + im^2.
+
+    A drive propagator U = diag(phase) R^(x n) is powered in the real
+    gauge of its pulse: R = exp(-i theta sigma^x) = Phi_1 M Phi_1, with
+    Phi_1 = diag(1, -i) and M = [[cos, sin], [sin, -cos]] real, so
+    R^(x n) = Phi M^(x n) Phi with Phi = diag((-i)^popcount). The loop
+    carries Y = Phi W Phi, which has |Y| = |W|, from Y = Phi^2 (the
+    parities) by Y = (Phi^2 phase) M^(x n) Y; M^(x n) acts by the
+    factored product (_kron_apply) on the float64 view of Y, a real
+    product over twice the columns. A hand-made operator steps W = U W
+    from W = I. The loop runs to max(periods, horizon).
     """
     if periods < 0 or (horizon is not None and horizon < 1):
         raise ValueError(f"need periods >= 0 and horizon >= 1, got {periods} and {horizon}")
     n = U.dim.bit_length() - 1
-    sign_sum = spin_z_table(n).sum(axis=1)
+    spins = spin_z_table(n)
+    sign_sum = spins.sum(axis=1)
     magnetization = np.empty((periods + 1, U.dim))
     magnetization[0] = sign_sum / n  # m = 0: populations are the basis states themselves
     prs = None
-    W = np.eye(U.dim, dtype=complex)
+    if U.phase is None:
+        Y, step = np.eye(U.dim, dtype=complex), U.apply
+    else:
+        parity = np.prod(-spins, axis=1)  # (-1)^popcount: a set bit is spin up, +1
+        c, s = np.cos(U.theta), np.sin(U.theta)
+        M, gauge_phase = np.array([[c, s], [s, -c]]), (parity * U.phase)[:, None]
+        Y = np.diag(parity.astype(complex))
+
+        def step(Y):
+            Y = _kron_apply(M, Y.view(np.float64)).view(complex)
+            Y *= gauge_phase
+            return Y
+
     for m in range(1, max(periods, horizon or 0) + 1):
-        W = U.apply(W)
+        Y = step(Y)
         if m <= periods:
-            magnetization[m] = sign_sum @ (np.abs(W) ** 2) / n
+            magnetization[m] = sign_sum @ (Y.real**2 + Y.imag**2) / n
         if m == horizon:
-            prs = 1.0 / np.sum(np.abs(W) ** 4, axis=0)
+            prs = 1.0 / np.sum((Y.real**2 + Y.imag**2) ** 2, axis=0)
     return magnetization, prs
 
 

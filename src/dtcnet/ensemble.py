@@ -277,11 +277,13 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
 
     Each epsilon reads one Stages, so it builds its propagator once, and
     only when a requested task reads it; when the spectrum or walk task
-    is on, it propagates the whole basis once (basis_dynamics).
-    The epsilon = 0 reference is the exact flip series: at zero error
-    each pulse is a pi flip, so configuration i reads (-1)^m s_i / n
-    whatever the disorder. run_ensemble and the level-stats, spectrum
-    and walk subcommands all reduce these payloads.
+    is on, it propagates the whole basis once (basis_dynamics), except
+    at epsilon = 0. At zero error each pulse is a pi flip, so
+    configuration i reads (-1)^m s_i / n whatever the disorder; that
+    exact flip series is epsilon = 0's magnetization, with no
+    propagation, and the fidelity reference of every epsilon.
+    run_ensemble and the level-stats, spectrum and walk subcommands all
+    reduce these payloads.
     """
     disorder = sample_disorder(spec.params, spec.seed, r)
     payload: dict = {"warnings": [], "notes": []}
@@ -289,7 +291,8 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
     periods = spec.periods if "spectrum" in spec.tasks else 0
     if periods:
         flips = (-1.0) ** np.arange(periods + 1)
-        ref_V = dft_power(np.outer(flips, spin_z_table(n).sum(axis=1) / n))
+        flip_series = np.outer(flips, spin_z_table(n).sum(axis=1) / n)
+        ref_V = dft_power(flip_series)
         ref_norm = np.linalg.norm(ref_V, axis=0)
 
     for eps in spec.epsilons:
@@ -309,7 +312,8 @@ def realization_outputs(spec: EnsembleSpec, r: int) -> dict:
             skipped = "walk task skipped: tunneling horizon diverges at epsilon = 0"
             payload["warnings"].append({"epsilon": eps, "realization": r, "warnings": [skipped]})
         if periods or horizon:
-            magnetization, prs = basis_dynamics(stages.U, periods, horizon)
+            # the walk is skipped at epsilon = 0, so it asks only for the flip series
+            magnetization, prs = (flip_series, None) if eps == 0.0 else basis_dynamics(stages.U, periods, horizon)
             if periods:
                 V = dft_power(magnetization)
                 norm = np.linalg.norm(V, axis=0)

@@ -223,8 +223,9 @@ def _kron_power(rot: np.ndarray, k: int) -> np.ndarray:
 
     Each fold is np.kron(out, rot) written as one broadcast product,
     which gives the same entries without np.kron's per-call overhead.
+    The power keeps rot's dtype, so a real rot gives a real power.
     """
-    out = np.ones((1, 1), dtype=complex)
+    out = np.ones((1, 1), dtype=rot.dtype)
     for _ in range(k):
         d = 2 * out.shape[0]
         out = (out[:, None, :, None] * rot[None, :, None, :]).reshape(d, d)

@@ -706,7 +706,8 @@ class TestSpectrumCommand:
 
     def test_one_build_per_epsilon_and_realization(self, tmp_path, monkeypatch):
         # the all-up series is read from realization 0's basis propagation,
-        # not from a second build of its propagator
+        # not from a second build of its propagator; epsilon = 0 reads the
+        # exact flip series and builds nothing
         builds = []
         original = dtcnet.ensemble.drive_unitary
 
@@ -719,7 +720,7 @@ class TestSpectrumCommand:
             ["spectrum", "--n", "4", "--epsilon", "0,0.012", "--periods", "8",
              "--realizations", "2", "--seed", "5", "--out-dir", str(tmp_path)]
         ) == 0
-        assert len(builds) == 4 and len(set(builds)) == 4
+        assert len(builds) == 2 and len(set(builds)) == 2 and {eps for eps, _ in builds} == {0.012}
         params = SpinChainParams(n=4, epsilon=0.012)
         U = original(params, sample_disorder(params, 5, 0))
         expected = magnetization_series(U, Configuration(index=15, n=4), 8)

@@ -195,6 +195,29 @@ class TestBasisDynamics:
         assert np.abs(magnetization - dense).max() <= 5e-14
         assert (np.abs(prs - dense_prs) / dense_prs).max() <= 1e-13
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("eps", [0.0, 0.012, 0.1])
+    def test_real_gauge_matches_the_hand_made_copy(self, monkeypatch, n, eps):
+        # the drive operator steps in the real gauge of its pulse, its copy without
+        # factors by U.apply on the dense matrix
+        params = SpinChainParams(n=n, epsilon=eps)
+        U = drive_unitary(params, sample_disorder(params, 331, 0))
+        copy = FloquetOperator(matrix=U.matrix.copy(), period=U.period)
+        periods, horizon = 64, walk_horizon_periods(params) if eps > 0 else 83
+        applied, original = [], FloquetOperator.apply
+
+        def counted(op, states):
+            applied.append(op)
+            return original(op, states)
+
+        monkeypatch.setattr(FloquetOperator, "apply", counted)
+        magnetization, prs = basis_dynamics(U, periods, horizon)
+        assert applied == []
+        copy_magnetization, copy_prs = basis_dynamics(copy, periods, horizon)
+        assert len(applied) == max(periods, horizon) and all(op is copy for op in applied)
+        assert np.abs(magnetization - copy_magnetization).max() <= 5e-14
+        assert (np.abs(prs - copy_prs) / copy_prs).max() <= 1e-13
+
 
 class TestPowerSpectrum:
     def test_constant_series_peaks_at_zero(self):

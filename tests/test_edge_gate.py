@@ -110,6 +110,35 @@ def test_differing_npy_quantified():
     ]
 
 
+def test_differing_csv_quantified():
+    # cells that moved are counted with their max |diff|; any other change is a layout change
+    old = {
+        "pr.csv": b"config,pr\n0,91.9244714877\n1,2.5\n",
+        "rows.csv": b"config,pr\n0,1\n",
+        "header.csv": b"config,pr\n0,1\n",
+        "text.csv": b"name,value\na,1\n",
+        "same.csv": b"k,V\n0,1\n",
+    }
+    new = {
+        "pr.csv": b"config,pr\n0,91.9244714876\n1,2.5\n",
+        "rows.csv": b"config,pr\n0,1\n1,2\n",
+        "header.csv": b"config,PR\n0,1\n",
+        "text.csv": b"name,value\nb,1\n",
+        "same.csv": b"k,V\n0,1\n",
+    }
+    part = {"files": 0, "identical": 0, "differing": []}
+    edge_gate.compare_files("seed 0", new, old, part)
+    assert part == {"files": 5, "identical": 1, "differing": [
+        "seed 0: header.csv differs (layout differs)",
+        "seed 0: pr.csv differs (1 of 4 cells differ, max |diff| 1.000e-10)",
+        "seed 0: rows.csv differs (layout differs)",
+        "seed 0: text.csv differs (layout differs)",
+    ]}
+    assert edge_gate.failures({**_report(), "ensemble_csvs": part}) == [
+        f"ensemble_csvs: {line}" for line in part["differing"]
+    ]
+
+
 class _LoudCli:
     """dtcnet whose command line prints one extra line before every run."""
 

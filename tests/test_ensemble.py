@@ -357,8 +357,9 @@ class TestOnePropagationPerEpsilon:
     @pytest.mark.parametrize(
         "epsilons, tasks, built, propagated",
         [
-            # every task with epsilon = 0 swept: one build and one propagation per epsilon
-            ((0.0, 0.012, 0.1), frozenset(dtcnet.TASKS), [0.0, 0.012, 0.1], 3),
+            # every task with epsilon = 0 swept: one build per epsilon (the graph task reads
+            # U at 0 too) and one propagation per nonzero epsilon, as 0 reads the flip series
+            ((0.0, 0.012, 0.1), frozenset(dtcnet.TASKS), [0.0, 0.012, 0.1], 2),
             # epsilon = 0 is not swept: its reference is the exact flip series, built from no U
             ((0.012, 0.1), frozenset({"spectrum", "walk"}), [0.012, 0.1], 2),
             # neither spectrum nor walk: no basis propagation at all
@@ -367,6 +368,8 @@ class TestOnePropagationPerEpsilon:
             ((0.0, 0.1), frozenset({"classical"}), [], 0),
             # the walk is skipped at epsilon = 0: no build
             ((0.0,), frozenset({"walk"}), [], 0),
+            # the spectrum task alone: epsilon = 0 builds and propagates nothing
+            ((0.0, 0.012), frozenset({"spectrum"}), [0.012], 1),
         ],
     )
     def test_build_and_propagation_counts(self, monkeypatch, epsilons, tasks, built, propagated):
@@ -408,6 +411,19 @@ class TestOnePropagationPerEpsilon:
             assert np.array_equal(np.isnan(fidelity), np.isnan(expected))
             assert np.isnan(fidelity).any() == (n % 2 == 0)
             np.testing.assert_allclose(fidelity, expected, rtol=0, atol=1e-12, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_zero_error_series_matches_its_propagation(self, n):
+        # epsilon = 0 writes the exact flip series, not a propagation of its U
+        params = SpinChainParams(n=n, J0=0.4, W=1.3, T1=0.7)
+        spec = _spec(params=params, epsilons=(0.0,), seed=3, tasks=frozenset({"spectrum"}), periods=16)
+        U0 = dtcnet.drive_unitary(params, sample_disorder(params, 3, 0))
+        propagated = dtcnet.basis_dynamics(U0, spec.periods)[0]
+        payload = realization_outputs(spec, 0)
+        assert np.abs(payload["magnetization"]["0"] - propagated[:, -1]).max() < 5e-14
+        fidelity = payload["spectrum"]["0"]
+        assert np.isnan(fidelity).any() == (n % 2 == 0)
+        np.testing.assert_allclose(fidelity[~np.isnan(fidelity)], 1.0, rtol=0, atol=1e-15)
 
     def test_magnetization_series_owns_its_data(self):
         spec = _spec(params=SpinChainParams(n=4), epsilons=(0.0, 0.1), tasks=frozenset({"spectrum"}), periods=8)

@@ -162,6 +162,24 @@ class TestFactoredPropagator:
         assert np.array_equal(states[3], q @ (q @ (q @ block[:, 0])))
 
 
+class TestRealGaugeOfThePulse:
+    """exp(-i theta sigma^x)^(x n) = Phi M^(x n) Phi, M real and Phi = diag((-i)^popcount)."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("theta", [np.pi / 2, 0.7, 0.5 * np.pi * (1.0 - 0.012)])
+    def test_gauge_rebuilds_the_pulse(self, n, theta):
+        M = np.array([[np.cos(theta), np.sin(theta)], [np.sin(theta), -np.cos(theta)]])
+        phi = (-1j) ** np.array([bin(i).count("1") for i in range(2**n)])
+        gauged = phi[:, None] * floquet_core._kron_power(M, n) * phi[None, :]
+        assert np.abs(gauged - floquet_core._kron_power(floquet_core._x_rotation(theta), n)).max() <= 1e-15
+
+    def test_real_factor_keeps_its_dtype(self):
+        M = np.array([[0.6, 0.8], [0.8, -0.6]])
+        assert floquet_core._kron_power(M, 4).dtype == np.float64
+        assert floquet_core._kron_power(M, 0).dtype == np.float64
+        assert floquet_core._kron_power(floquet_core._x_rotation(0.3), 3).dtype == np.complex128
+
+
 class TestFloquetSpectrum:
     def test_identity_has_zero_quasienergies(self):
         spectrum = floquet_spectrum(_identity_floquet(8))

@@ -28,7 +28,9 @@ listing:
   its exit code, its stdout and stderr with the output directory
   replaced by <out>, and every file it writes, compared byte for byte
   (a differing .npy file is also reported with whether its shape and
-  dtype match and, if they do, max |new - old|);
+  dtype match and, if they do, max |new - old|; a differing .csv file,
+  here or in the ensemble runs, with its count of differing cells and
+  their max |new - old|, or that its layout differs);
 - the degree-distribution verdicts: ensemble.degree_fit, each side on
   its own graphs, over the pooled degrees of each fixture epsilon (T,
   100 realizations) and of each seed, epsilon and period (T, 2T) of the
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import importlib.util
 import inspect
 import io
@@ -271,8 +274,9 @@ def compare_files(label: str, new: dict[str, bytes], old: dict[str, bytes], part
         part["files"] += 1
         if new[name] == old[name]:
             part["identical"] += 1
-        elif name.endswith(".npy"):
-            part["differing"].append(f"{label}: {name} differs ({npy_difference(new[name], old[name])})")
+        elif name.endswith((".npy", ".csv")):
+            how = (npy_difference if name.endswith(".npy") else csv_difference)(new[name], old[name])
+            part["differing"].append(f"{label}: {name} differs ({how})")
         else:
             part["differing"].append(f"{label}: {name} differs")
 
@@ -284,6 +288,24 @@ def npy_difference(new: bytes, old: bytes) -> str:
         return f"shape {b.shape} -> {a.shape}, dtype {b.dtype} -> {a.dtype}"
     diff = np.abs(a.astype(complex) - b.astype(complex)).max(initial=0.0)
     return f"same shape and dtype, max |diff| {diff:.3e}"
+
+
+def csv_difference(new: bytes, old: bytes) -> str:
+    """How two CSV files differ: how many cells and max |new - old| over them, or that the layout differs.
+
+    The layout differs when the header, the row count or a row's length
+    differs, or when a differing cell is not a number.
+    """
+    a, b = (list(csv.reader(io.StringIO(data.decode()))) for data in (new, old))
+    if a[:1] != b[:1] or len(a) != len(b) or any(len(x) != len(y) for x, y in zip(a, b)):
+        return "layout differs"
+    cells = [(x, y) for row, base_row in zip(a[1:], b[1:]) for x, y in zip(row, base_row)]
+    moved = [(x, y) for x, y in cells if x != y]
+    try:
+        diffs = [abs(float(x) - float(y)) for x, y in moved]
+    except ValueError:
+        return "layout differs"
+    return f"{len(moved)} of {len(cells)} cells differ, max |diff| {np.max(diffs, initial=0.0):.3e}"
 
 
 def csv_gate(pkg, base) -> dict:
